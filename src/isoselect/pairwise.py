@@ -42,13 +42,6 @@ _BEST, _WORST = 0, 1
 _NEG_INF = -math.inf
 
 
-class Peak(NamedTuple):
-    """One isotopologue peak: mass in daltons, natural-log probability."""
-
-    mass: float
-    logp: float
-
-
 class _ChildLayer(NamedTuple):
     mass: np.ndarray
     logp: np.ndarray
@@ -154,15 +147,15 @@ class ArrayPeakStream:
         self._mass = mass[order]
         self._logp = logp[order]
         self.schedule = schedule
+        self.emitted = 0
         self.layers_emitted = 0
-        self._pos = 0
 
     def next_layer(self) -> tuple[np.ndarray, np.ndarray]:
         self.layers_emitted += 1
         size = self.schedule.layer_size(self.layers_emitted)
-        lo = self._pos
+        lo = self.emitted
         hi = min(lo + size, self._logp.size)
-        self._pos = hi
+        self.emitted = hi
         return self._mass[lo:hi], self._logp[lo:hi]
 
 

@@ -77,9 +77,7 @@ def test_criterion_2_multinomial_sweep():
                 probs = np.clip(probs, 1e-9, None)
                 probs /= probs.sum()
                 config = MultinomialConfig(n, probs, list(range(1, m + 1)))
-                gen = SubisotopologueGenerator(
-                    config, LayerSchedule(2.0), check_duplicates=True
-                )
+                gen = SubisotopologueGenerator(config, LayerSchedule(2.0))
                 seen = set()
                 prev = math.inf
                 while (item := gen.next_tuple()) is not None:

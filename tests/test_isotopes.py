@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +127,13 @@ def test_load_table_from_file(tmp_path):
 def test_rejects_empty_element_list():
     with pytest.raises(IsotopeTableError):
         IsotopeTable({"H": []})
+
+
+def test_readme_table_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Custom isotope tables", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    table = parse_table(block)
+    assert table.elements() == ["H", "O"]
+    assert len(table.get("H")) == 2
+    assert len(table.get("O")) == 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -134,9 +135,7 @@ class TestGenerator:
             probs = np.clip(probs, 1e-6, None)
             probs /= probs.sum()
             config = config_of(n, probs)
-            gen = SubisotopologueGenerator(
-                config, LayerSchedule(2.0), check_duplicates=True
-            )
+            gen = SubisotopologueGenerator(config, LayerSchedule(2.0))
             seen = set()
             prev = math.inf
             while (item := gen.next_tuple()) is not None:
@@ -169,23 +168,57 @@ class TestGenerator:
         assert mass.size == 0
 
     def test_layer_values_match_tuple_stream(self):
-        config = config_of(7, [0.55, 0.25, 0.2])
-        a = SubisotopologueGenerator(config, LayerSchedule(1.5))
-        b = SubisotopologueGenerator(config, LayerSchedule(1.5))
-        flat_mass, flat_logp = [], []
-        while (item := b.next_tuple()) is not None:
-            counts, logp = item
-            flat_mass.append(mass_of(config, counts))
-            flat_logp.append(logp)
-        got_mass, got_logp = [], []
-        while True:
-            mass, logp = a.next_layer()
-            if mass.size == 0:
-                break
-            got_mass.extend(mass.tolist())
-            got_logp.extend(logp.tolist())
-        assert got_mass == flat_mass
-        assert got_logp == flat_logp
+        # Sn has 10 isotopes, enough for numpy's pairwise summation to kick in
+        tin = MultinomialConfig.from_isotopes(5, load_default().get("Sn"))
+        for config in (config_of(7, [0.55, 0.25, 0.2]), tin):
+            a = SubisotopologueGenerator(config, LayerSchedule(1.5))
+            b = SubisotopologueGenerator(config, LayerSchedule(1.5))
+            flat_mass, flat_logp = [], []
+            while (item := b.next_tuple()) is not None:
+                counts, logp = item
+                flat_mass.append(mass_of(config, counts))
+                flat_logp.append(logp)
+            got_mass, got_logp = [], []
+            while True:
+                mass, logp = a.next_layer()
+                if mass.size == 0:
+                    break
+                got_mass.extend(mass.tolist())
+                got_logp.extend(logp.tolist())
+            assert len(got_mass) == config.tuple_count()
+            assert got_mass == flat_mass
+            assert got_logp == flat_logp
+
+    @pytest.mark.parametrize("symbol, n", [("Sn", 1000), ("C", 20000)])
+    def test_logp_drift_within_documented_bound(self, symbol, n):
+        # reference: lgamma terms summed exactly; each term is good to a few
+        # ulps, so the reference itself is trusted to 4 eps * sum |term|
+        eps = sys.float_info.epsilon
+        config = MultinomialConfig.from_isotopes(n, load_default().get(symbol))
+        log_probs = config.log_probs
+
+        def reference(counts):
+            terms = [math.lgamma(n + 1)]
+            for c, lp in zip(counts, log_probs):
+                terms += [-math.lgamma(c + 1), c * lp]
+            return math.fsum(terms), 4 * eps * math.fsum(map(abs, terms))
+
+        gen = SubisotopologueGenerator(config, LayerSchedule(2.0))
+        mode = gen.mode
+        _, mode_logp = gen.next_tuple()
+        ref, ref_err = reference(mode)
+        mode_err = abs(mode_logp - ref) + ref_err
+        per_step = 2 * math.log(n + 1) + max(map(abs, log_probs))
+        longest = 0
+        for _ in range(2 * 10**4 - 1):
+            counts, logp = gen.next_tuple()
+            steps = sum(max(c - c0, 0) for c, c0 in zip(counts, mode))
+            longest = max(longest, steps)
+            ref, ref_err = reference(counts)
+            bound = mode_err + ref_err + steps * 4 * eps * (abs(logp) + per_step)
+            assert abs(logp - ref) <= bound, (counts, logp, ref, steps)
+        if symbol == "C":
+            assert longest > 19000  # the bound is exercised on long chains
 
     def test_probabilities_sum_to_one(self):
         config = config_of(9, [0.5, 0.3, 0.2])

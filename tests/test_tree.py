@@ -4,11 +4,13 @@ import pytest
 from conftest import logsumexp, random_molecule
 from isoselect.formula import Composition, parse_formula
 from isoselect.isotopes import UnknownElementError, load_default
+from isoselect.loh import LayerSchedule
 from isoselect.multinomial import SubisotopologueGenerator
 from isoselect.oracle import enumerate_all, isotopologue_count, top_k_reference
-from isoselect.pairwise import PairwiseSelector
+from isoselect.pairwise import ArrayPeakStream, PairwiseSelector
 from isoselect.tree import (
     Selection,
+    TreeNode,
     build_tree,
     isotopologues,
     select_top_k,
@@ -169,6 +171,22 @@ class TestLaziness:
         rows = tree_stats(root)
         assert rows[0]["kind"] == "merge"
         assert {r["label"] for r in rows} == {"(H2+O1)", "H2", "O1"}
+
+    def test_stats_on_array_stream_leaves(self):
+        schedule = LayerSchedule(2.0)
+        x = ArrayPeakStream([100.0, 101.0, 102.0], [-0.1, -1.0, -3.0], schedule)
+        y = ArrayPeakStream([10.0, 11.0], [-0.2, -2.0], schedule)
+        root = TreeNode(
+            stream=PairwiseSelector(x, y, schedule),
+            label="(x+y)",
+            children=(TreeNode(x, "x"), TreeNode(y, "y")),
+        )
+        assert len(select_top_k(root, 3)) == 3
+        rows = tree_stats(root)
+        assert [r["kind"] for r in rows] == ["merge", "element", "element"]
+        for row, stream, size in zip(rows[1:], (x, y), (3, 2)):
+            assert row["layers"] == stream.layers_emitted
+            assert 0 < row["emitted"] == stream.emitted <= size
 
 
 class TestSelection:
