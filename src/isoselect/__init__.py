@@ -5,7 +5,7 @@ with natural-log probabilities, without binning, using layer-ordered heaps
 and online pairwise selection over per-element subisotopologue streams.
 """
 
-from .formula import Composition, FormulaError, canonical_string, parse_formula
+from .formula import Composition, FormulaError, parse_formula
 from .isotopes import (
     Isotope,
     IsotopeTable,
@@ -15,14 +15,8 @@ from .isotopes import (
     load_table,
     parse_table,
 )
-from .loh import LayeredValues, LayerSchedule, lohify, verify_loh
-from .multinomial import (
-    MultinomialConfig,
-    SubisotopologueGenerator,
-    find_mode,
-    log_pmf,
-    mass_of,
-)
+from .loh import LayerSchedule, lohify, verify_loh
+from .multinomial import MultinomialConfig, SubisotopologueGenerator, find_mode
 from .oracle import enumerate_all, isotopologue_count, top_k_reference
 from .pairwise import ArrayPeakStream, PairwiseSelector
 from .tree import (
@@ -45,7 +39,6 @@ __all__ = [
     "IsotopeTable",
     "IsotopeTableError",
     "LayerSchedule",
-    "LayeredValues",
     "MultinomialConfig",
     "PairwiseSelector",
     "Selection",
@@ -53,7 +46,6 @@ __all__ = [
     "TreeNode",
     "UnknownElementError",
     "build_tree",
-    "canonical_string",
     "enumerate_all",
     "find_mode",
     "isotopologue_count",
@@ -61,8 +53,6 @@ __all__ = [
     "load_default",
     "load_table",
     "lohify",
-    "log_pmf",
-    "mass_of",
     "parse_formula",
     "parse_table",
     "select_top_k",

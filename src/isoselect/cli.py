@@ -1,7 +1,8 @@
 """Command line interface: formula in, peak table out.
 
 Exit codes: 0 success, 2 formula parse error, 3 unknown element or bad
-isotope table, 4 invalid parameters.
+isotope table, 4 invalid parameters. When several are wrong, the first in
+that order is reported.
 """
 
 from __future__ import annotations
@@ -10,15 +11,16 @@ import argparse
 import math
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .formula import FormulaError, parse_formula
 from .isotopes import IsotopeTableError, UnknownElementError, load_default, load_table
-from .oracle import EnumerationLimitError, enumerate_all
-from .tree import Selection, build_tree, select_top_k, select_until_cumulative
+from .loh import LayerSchedule
+from .oracle import enumerate_all
+from .pairwise import ArrayPeakStream
+from .tree import Selection, TreeNode, build_tree, select_top_k, select_until_cumulative
 
 EXIT_FORMULA = 2
 EXIT_TABLE = 3
@@ -70,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="use the exhaustive reference implementation (small formulas only)",
+        help="select from an exhaustive enumeration instead of the merge tree "
+        "(small formulas only)",
     )
     parser.add_argument(
         "--log10",
@@ -82,20 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if (args.k is None) == (args.p is None):
-        print("error: exactly one of --k and --p is required", file=sys.stderr)
-        return EXIT_PARAMS
-    if args.k is not None and args.k < 1:
-        print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
-        return EXIT_PARAMS
-    if args.p is not None and not (0 < args.p <= 1):
-        print(f"error: --p must be in (0, 1], got {args.p}", file=sys.stderr)
-        return EXIT_PARAMS
-    if not (args.alpha >= 1 and math.isfinite(args.alpha)):
-        print(f"error: --alpha must be a finite value >= 1, got {args.alpha}",
-              file=sys.stderr)
-        return EXIT_PARAMS
 
     try:
         comp = parse_formula(args.formula)
@@ -109,20 +98,28 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TABLE
 
+    if (args.k is None) == (args.p is None):
+        print("error: exactly one of --k and --p is required", file=sys.stderr)
+        return EXIT_PARAMS
+
     start = time.perf_counter()
     try:
         if args.oracle:
-            selection = _oracle_selection(comp, table, args.k, args.p)
+            root = TreeNode(
+                ArrayPeakStream(*enumerate_all(comp, table), LayerSchedule(args.alpha)),
+                "oracle",
+            )
         else:
             root = build_tree(comp, table, args.alpha)
-            if args.k is not None:
-                selection = select_top_k(root, args.k)
-            else:
-                selection = select_until_cumulative(root, args.p)
+        if args.k is not None:
+            selection = select_top_k(root, args.k)
+        else:
+            selection = select_until_cumulative(root, args.p)
     except UnknownElementError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_TABLE
-    except EnumerationLimitError as exc:
+    except ValueError as exc:
+        # bad k, p or alpha, or too many isotopologues for --oracle
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     elapsed = time.perf_counter() - start
@@ -133,25 +130,6 @@ def run(argv=None) -> int:
         print(f"selection time: {elapsed:.6f} s", file=sys.stderr)
     _write(selection, args)
     return 0
-
-
-def _oracle_selection(comp, table, k, p) -> Selection:
-    mass, logp = enumerate_all(comp, table)
-    order = np.argsort(-logp, kind="stable")
-    mass, logp = mass[order], logp[order]
-    if k is not None:
-        if k >= logp.size:
-            if k > logp.size:
-                warnings.warn(
-                    f"only {logp.size} isotopologue peaks exist, fewer than "
-                    f"the requested {k}",
-                    stacklevel=2,
-                )
-            return Selection(mass, logp, truncated=k > logp.size)
-        return Selection(mass[:k], logp[:k])
-    csum = np.cumsum(np.exp(logp))
-    cut = min(int(np.searchsorted(csum, p)), logp.size - 1)
-    return Selection(mass[: cut + 1], logp[: cut + 1])
 
 
 def _write(selection: Selection, args):

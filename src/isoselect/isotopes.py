@@ -5,8 +5,9 @@ The table file format is plain UTF-8 text, one isotope per line::
     <Symbol> <mass_da> <abundance>
 
 separated by whitespace. ``#`` starts a comment, blank lines are ignored.
-Abundances are fractions; per element they must sum to 1 within 1e-6 and are
-renormalized to sum to exactly 1.0 after loading.
+Masses must be finite and positive. Abundances are fractions; per element
+they must sum to 1 within 1e-6 and are renormalized to sum to exactly 1.0
+after loading.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ class UnknownElementError(KeyError):
 
 @dataclass(frozen=True)
 class Isotope:
-    """One isotope: mass in daltons and natural abundance in (0, 1]."""
+    """One isotope: finite mass > 0 in daltons, natural abundance in (0, 1]."""
 
     mass: float
     abundance: float
 
     def __post_init__(self):
-        if not (self.mass > 0):
-            raise IsotopeTableError(f"isotope mass must be > 0, got {self.mass}")
+        if not (self.mass > 0 and math.isfinite(self.mass)):
+            raise IsotopeTableError(
+                f"isotope mass must be finite and > 0, got {self.mass}"
+            )
         if not (0 < self.abundance <= 1):
             raise IsotopeTableError(
                 f"isotope abundance must be in (0, 1], got {self.abundance}"
@@ -129,8 +132,10 @@ def parse_table(text: str) -> IsotopeTable:
             raise IsotopeTableError(
                 f"line {lineno}: non-numeric mass or abundance in {raw!r}"
             ) from None
-        if not (mass > 0):
-            raise IsotopeTableError(f"line {lineno}: mass must be > 0, got {mass}")
+        if not (mass > 0 and math.isfinite(mass)):
+            raise IsotopeTableError(
+                f"line {lineno}: mass must be finite and > 0, got {mass}"
+            )
         if not (0 < abundance <= 1):
             raise IsotopeTableError(
                 f"line {lineno}: abundance must be in (0, 1], got {abundance}"

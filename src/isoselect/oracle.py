@@ -1,7 +1,10 @@
 """Brute-force reference path: enumerate every isotopologue of a compound.
 
-Only feasible for small compounds; the main selection pipeline never calls
-into this module, so the two can check each other.
+Only feasible for small compounds. The merge tree never calls into this
+module. The CLI's ``--oracle`` feeds :func:`enumerate_all` to the same
+selection routine the tree's root goes through, so it checks the tree, not
+the selection; :func:`top_k_reference` and the tests' cumsum counts stay the
+independent references for selection itself.
 """
 
 from __future__ import annotations

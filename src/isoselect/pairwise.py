@@ -134,8 +134,9 @@ class _HeapPeakBuffer:
 
 
 class ArrayPeakStream:
-    """Layered stream over a fixed peak list, for tests, demos and leaves
-    that are cheaper to enumerate than to generate incrementally.
+    """Layered stream over a fixed peak list, for tests, demos, leaves that
+    are cheaper to enumerate than to generate incrementally, and the root of
+    the CLI's ``--oracle`` selection over an exhaustive enumeration.
 
     Peaks are arranged descending by logp and dealt out per the schedule.
     """
@@ -162,12 +163,10 @@ class ArrayPeakStream:
 class PairwiseSelector:
     """Stream of the most probable X+Y peak combinations, in layers.
 
-    Single consumer. ``instrument=True`` keeps a pull-decision log and a
-    materialized-product set for the structural tests; leave it off in
-    production paths.
+    Single consumer.
     """
 
-    def __init__(self, x, y, schedule: LayerSchedule, instrument: bool = False):
+    def __init__(self, x, y, schedule: LayerSchedule):
         self.x = x
         self.y = y
         self.schedule = schedule
@@ -188,8 +187,6 @@ class PairwiseSelector:
         self.materialized_total = 0
         self.peak_resident = 0
         self._stored = 0
-        self.pull_log: list[tuple] | None = [] if instrument else None
-        self._materialized_products: set | None = set() if instrument else None
 
         # both children must contribute their first layer before any product
         # can form; these two pulls are unconditional
@@ -263,17 +260,6 @@ class PairwiseSelector:
             top = -self._heap[0][0] if self._heap else _NEG_INF
             if max(bx, by) < top:
                 return True
-            if self.pull_log is not None:
-                axis = "x" if bx >= by else "y"
-                self.pull_log.append(
-                    (
-                        axis,
-                        bx,
-                        by,
-                        self.x_layers[-1].lmin if self.x_layers else None,
-                        self.y_layers[-1].lmin if self.y_layers else None,
-                    )
-                )
             if bx >= by:
                 self._pull_x()
             else:
@@ -284,9 +270,6 @@ class PairwiseSelector:
         xl = self.x_layers[u - 1]
         yl = self.y_layers[v - 1]
         if phase == _BEST:
-            if self._materialized_products is not None:
-                assert (u, v) not in self._materialized_products, (u, v)
-                self._materialized_products.add((u, v))
             if xl.mass.size == 1 and yl.mass.size == 1:
                 self._buffer.add_one(
                     float(xl.mass[0]) + float(yl.mass[0]),

@@ -36,28 +36,28 @@ def build_tree(
     comp: Composition,
     table: IsotopeTable,
     alpha: float = 1.05,
-    instrument: bool = False,
 ) -> TreeNode:
     """Build the selection tree for a composition. Raises
     :class:`~isoselect.isotopes.UnknownElementError` for missing elements."""
-    schedule = LayerSchedule(alpha)
     if len(comp) == 0:
         raise ValueError("empty composition")
-    nodes = []
-    for symbol, count in comp:
-        config = MultinomialConfig.from_isotopes(count, table.get(symbol))
-        gen = SubisotopologueGenerator(config, schedule)
-        nodes.append(TreeNode(stream=gen, label=f"{symbol}{count}"))
+    # look elements up before checking alpha: table errors outrank parameter ones
+    leaves = [
+        (f"{symbol}{count}", MultinomialConfig.from_isotopes(count, table.get(symbol)))
+        for symbol, count in comp
+    ]
+    schedule = LayerSchedule(alpha)
+    nodes = [
+        TreeNode(stream=SubisotopologueGenerator(config, schedule), label=label)
+        for label, config in leaves
+    ]
     while len(nodes) > 1:
         paired = []
         for i in range(0, len(nodes) - 1, 2):
             left, right = nodes[i], nodes[i + 1]
-            selector = PairwiseSelector(
-                left.stream, right.stream, schedule, instrument=instrument
-            )
             paired.append(
                 TreeNode(
-                    stream=selector,
+                    stream=PairwiseSelector(left.stream, right.stream, schedule),
                     label=f"({left.label}+{right.label})",
                     children=(left, right),
                 )
@@ -93,6 +93,32 @@ class Selection:
         )
 
 
+def _pull_root(root: TreeNode, target, weigh):
+    """Pull root layers until their summed ``weigh`` reaches ``target``.
+
+    Returns (buffer, last, before, layers, truncated). Under the descending
+    layer property only the last layer pulled can overshoot, so it is held
+    back as ``last`` for the caller to trim; ``buffer`` holds the layers
+    before it and ``before`` their weight. If the stream runs out first,
+    every peak is in ``buffer`` and ``last`` is None.
+    """
+    acc = _PeakBuffer()
+    last = None
+    total = before = 0
+    layers = 0
+    while total < target:
+        mass, logp = root.stream.next_layer()
+        layers += 1
+        if last is not None:
+            acc.extend(*last)
+        if mass.size == 0:
+            return acc, None, total, layers, True
+        last = (mass, logp)
+        before = total
+        total += weigh(logp)
+    return acc, last, before, layers, False
+
+
 def select_top_k(root: TreeNode, k: int) -> Selection:
     """The k most probable peaks of the tree's molecule.
 
@@ -100,64 +126,39 @@ def select_top_k(root: TreeNode, k: int) -> Selection:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    acc = _PeakBuffer()
-    layers = 0
-    truncated = False
-    while acc.n < k:
-        mass, logp = root.stream.next_layer()
-        layers += 1
-        if mass.size == 0:
-            truncated = True
-            warnings.warn(
-                f"only {acc.n} isotopologue peaks exist, fewer than the "
-                f"requested {k}",
-                stacklevel=2,
-            )
-            break
+    acc, last, before, layers, truncated = _pull_root(root, k, len)
+    if truncated:
+        warnings.warn(
+            f"only {acc.n} isotopologue peaks exist, fewer than the "
+            f"requested {k}",
+            stacklevel=2,
+        )
+    else:
+        mass, logp = last
+        keep = k - before
+        if keep < logp.size:
+            idx = np.argpartition(-logp, keep - 1)[:keep]
+            mass, logp = mass[idx], logp[idx]
         acc.extend(mass, logp)
-    mass, logp = acc.mass[: acc.n], acc.logp[: acc.n]
-    if acc.n > k:
-        # layers overshoot; keep the k most probable of what was pulled
-        idx = np.argpartition(-logp, k - 1)[:k]
-        mass, logp = mass[idx], logp[idx]
-    return Selection(mass, logp, truncated=truncated, layers_pulled=layers)
+    return Selection(acc.mass[: acc.n], acc.logp[: acc.n], truncated, layers)
 
 
 def select_until_cumulative(root: TreeNode, p: float) -> Selection:
     """The smallest set of most probable peaks with total probability >= p."""
     if not (0 < p <= 1):
         raise ValueError(f"p must be in (0, 1], got {p}")
-    acc = _PeakBuffer()
-    last: tuple[np.ndarray, np.ndarray] | None = None
-    running = 0.0
-    before_last = 0.0
-    layers = 0
-    truncated = False
-    while running < p:
-        mass, logp = root.stream.next_layer()
-        layers += 1
-        if mass.size == 0:
-            truncated = True
-            break
-        if last is not None:
-            acc.extend(*last)
-        last = (mass, logp)
-        before_last = running
-        running += float(np.exp(logp).sum())
-    if last is not None:
-        mass, logp = last
-        if not truncated:
-            # trim the overshooting layer to the minimal prefix of its peaks
-            # in probability order
-            order = np.argsort(-logp, kind="stable")
-            csum = np.cumsum(np.exp(logp[order]))
-            need = p - before_last
-            cut = min(int(np.searchsorted(csum, need)), logp.size - 1)
-            mass, logp = mass[order[: cut + 1]], logp[order[: cut + 1]]
-        acc.extend(mass, logp)
-    return Selection(
-        acc.mass[: acc.n], acc.logp[: acc.n], truncated=truncated, layers_pulled=layers
+    acc, last, before, layers, truncated = _pull_root(
+        root, p, lambda logp: float(np.exp(logp).sum())
     )
+    if not truncated:
+        # trim the overshooting layer to the minimal prefix of its peaks in
+        # probability order
+        mass, logp = last
+        order = np.argsort(-logp, kind="stable")
+        csum = np.cumsum(np.exp(logp[order]))
+        cut = min(int(np.searchsorted(csum, p - before)), logp.size - 1)
+        acc.extend(mass[order[: cut + 1]], logp[order[: cut + 1]])
+    return Selection(acc.mass[: acc.n], acc.logp[: acc.n], truncated, layers)
 
 
 def isotopologues(

@@ -115,12 +115,26 @@ def test_custom_isotope_file(tmp_path, capsys):
 
 
 class TestExitCodes:
-    def test_formula_error_is_2(self, capsys):
-        assert run(["--formula", "H2(", "--k", "1"]) == 2
+    # a formula error outranks a parameter error
+    @pytest.mark.parametrize(
+        "args",
+        [["--formula", "H2(", "--k", "1"], ["--formula", "H2(", "--k", "0"]],
+    )
+    def test_formula_error_is_2(self, args, capsys):
+        assert run(args) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_unknown_element_is_3(self, capsys):
-        assert run(["--formula", "Zz2", "--k", "1"]) == 3
+    # a missing element outranks bad parameters, with or without --oracle
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--formula", "Zz2", "--k", "1"],
+            ["--formula", "Zz2", "--k", "0", "--alpha", "0.9"],
+            ["--formula", "Zz2", "--k", "0", "--alpha", "0.9", "--oracle"],
+        ],
+    )
+    def test_unknown_element_is_3(self, args, capsys):
+        assert run(args) == 3
         assert "Zz" in capsys.readouterr().err
 
     def test_bad_isotope_file_is_3(self, tmp_path, capsys):
@@ -145,6 +159,7 @@ class TestExitCodes:
             ["--formula", "H2O", "--k", "1", "--alpha", "nan"],
             ["--formula", "H2O", "--k", "2", "--p", "0.5"],
             ["--formula", "H2O"],
+            ["--formula", "H2O", "--k", "1", "--oracle", "--alpha", "0.9"],
         ],
     )
     def test_invalid_parameters_are_4(self, args, capsys):

@@ -1,4 +1,5 @@
-"""Smoke runs of the fast demos: the leaf stream API and custom tables."""
+"""Smoke runs of the fast demos: water fine structure, the layered
+arrangement, the leaf stream API and custom tables."""
 
 import os
 import subprocess
@@ -13,7 +14,12 @@ def test_fast_demos_run():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
-    for demo in ("06_element_peak_stream.py", "07_custom_isotope_table.py"):
+    for demo in (
+        "01_water_fine_structure.py",
+        "04_layered_arrangement.py",
+        "06_element_peak_stream.py",
+        "07_custom_isotope_table.py",
+    ):
         proc = subprocess.run(
             [sys.executable, str(REPO / "demos" / demo)],
             capture_output=True,

@@ -53,6 +53,8 @@ def test_isotope_validation():
         Isotope(12.0, 0.0)
     with pytest.raises(IsotopeTableError):
         Isotope(12.0, 1.5)
+    with pytest.raises(IsotopeTableError):
+        Isotope(math.inf, 0.5)
 
 
 def test_parse_table_basic():
@@ -83,6 +85,7 @@ def test_parse_table_orders_by_mass():
         ("H 1.0 0.5 extra", "expected"),
         ("H mass 0.5", "non-numeric"),
         ("H -1.0 1.0", "mass"),
+        ("H inf 1.0", "mass"),
         ("H 1.0 0.0", "abundance"),
         ("H 1.0 1.5", "abundance"),
         ("H 1.0 0.5\nH 1.0 0.5", "duplicate"),

@@ -99,9 +99,7 @@ class TestSelectorRandomized:
             ny = int(rng.integers(1, 60))
             x = -rng.exponential(2.0, size=nx)
             y = -rng.exponential(2.0, size=ny)
-            sel = PairwiseSelector(
-                stream(x, alpha), stream(y, alpha), LayerSchedule(alpha), instrument=True
-            )
+            sel = PairwiseSelector(stream(x, alpha), stream(y, alpha), LayerSchedule(alpha))
             _, got = drain(sel)
             assert got.size == nx * ny
             assert np.array_equal(np.sort(got)[::-1], all_sums(x, y))
@@ -182,12 +180,22 @@ class TestLaziness:
     def test_pull_instrumentation(self):
         x = -np.linspace(0, 3, 40)
         y = -np.linspace(0, 2, 25)
-        sel = PairwiseSelector(
-            stream(x, 1.3), stream(y, 1.3), LayerSchedule(1.3), instrument=True
-        )
+        sel = PairwiseSelector(stream(x, 1.3), stream(y, 1.3), LayerSchedule(1.3))
+        pulls = []
+
+        def spy(axis, pull):
+            def call():
+                pulls.append((axis, sel._bound_x(), sel._bound_y()))
+                pull()
+
+            return call
+
+        # installed after construction, so only the lazy pulls are recorded
+        sel._pull_x = spy("x", sel._pull_x)
+        sel._pull_y = spy("y", sel._pull_y)
         drain(sel)
-        assert sel.pull_log is not None and len(sel.pull_log) > 0
-        for axis, bx, by, _, _ in sel.pull_log:
+        assert len(pulls) > 0
+        for axis, bx, by in pulls:
             # the larger of the two activation bounds decides the pull
             assert axis == ("x" if bx >= by else "y")
 
