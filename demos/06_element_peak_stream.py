@@ -5,8 +5,10 @@ Streaming the peaks of a single element block
 The building block beneath every formula is the distribution of one element
 repeated n times. Its outcomes are the ways of splitting n atoms among the
 element's isotopes, weighted by a multinomial. The generator below walks
-those splits from most to least probable, never producing a duplicate and
-never materializing more than a heap of frontier candidates.
+those splits from most to least probable, never producing a duplicate. A
+heap serves the first few hundred; after that it places every split above a
+falling probability threshold at once, so besides the frontier the next
+band starts from it holds one band of splits at a time.
 """
 
 import math
@@ -48,3 +50,9 @@ for _ in range(6):
         f"layer of {mass.size:2d}: masses {mass.min():.4f}..{mass.max():.4f}, "
         f"best p = {math.exp(logp.max()):.2e}"
     )
+
+# Past its first 256 splits the generator works in bands; ``generated``
+# counts the splits it has placed in order, at least as many as it emitted.
+while gen.emitted < 10_000:
+    gen.next_layer()
+print(f"after {gen.emitted} splits emitted, {gen.generated} placed in order")

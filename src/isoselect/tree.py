@@ -185,8 +185,10 @@ def isotopologues(
 
 
 def tree_stats(root: TreeNode) -> list[dict]:
-    """Per-node work counters, root first: layer pulls, peaks emitted, and
-    for merge nodes the materialized total and child pull counts."""
+    """Per-node work counters, root first: layer pulls, peaks emitted, for
+    element leaves the tuples generated (a leaf over a fixed peak list
+    reports its emitted count), and for merge nodes the materialized total
+    and child pull counts."""
     rows: list[dict] = []
 
     def visit(node: TreeNode, depth: int):
@@ -207,6 +209,7 @@ def tree_stats(root: TreeNode) -> list[dict]:
                 kind="element",
                 layers=stream.layers_emitted,
                 emitted=stream.emitted,
+                generated=getattr(stream, "generated", stream.emitted),
             )
         rows.append(row)
         for child in node.children:

@@ -1,13 +1,17 @@
-import itertools
+import functools
+import heapq
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoselect.isotopes import load_default
 from isoselect.loh import LayerSchedule
 from isoselect.multinomial import (
+    WARMUP,
     MultinomialConfig,
     SubisotopologueGenerator,
     find_mode,
@@ -109,6 +113,16 @@ class TestFindMode:
                 log_pmf(config, c) for c in weak_compositions(n, m)
             )
             assert log_pmf(config, mode) == pytest.approx(best, abs=1e-12)
+
+
+    def test_terminates_on_rounded_plateau(self):
+        # p_1 == p_3, so moving an atom between them gains exactly nothing,
+        # but the gain rounds positive in both directions
+        probs = [0.19920318725099603, 0.39840637450199207,
+                 0.003984063745019921, 0.39840637450199207]
+        config = config_of(6, probs)
+        best = max(log_pmf(config, c) for c in weak_compositions(6, 4))
+        assert log_pmf(config, find_mode(config)) == pytest.approx(best, abs=1e-12)
 
 
 class TestGenerator:
@@ -249,3 +263,101 @@ class TestGenerator:
             runs.append(seq)
         assert runs[0] == runs[1]
         assert len(runs[0]) == config.tuple_count()
+
+
+@functools.lru_cache(maxsize=None)
+def heap_reference(symbol: str, n: int, limit: int = 5 * 10**4):
+    """The first ``limit`` (counts, logp) of the plain heap walk, with the
+    steps the generator takes, read from the shared ln table."""
+    config = MultinomialConfig.from_isotopes(n, load_default().get(symbol))
+    mode = find_mode(config)
+    log_probs, ln, m = config.log_probs, config.ln.item, config.m
+    heap = [(-log_pmf(config, mode), mode, 0, 0)]
+    out = []
+    while heap and len(out) < limit:
+        neg_logp, counts, inc_mark, dec_mark = heapq.heappop(heap)
+        out.append((counts, -neg_logp))
+        for j in range(dec_mark, m):
+            cj = counts[j]
+            if cj == 0 or cj > mode[j]:
+                continue
+            down = ln(cj) - log_probs[j]
+            for i in range(inc_mark, m):
+                ci = counts[i]
+                if i == j or ci < mode[i]:
+                    continue
+                child = list(counts)
+                child[i] += 1
+                child[j] -= 1
+                step = (log_probs[i] - ln(ci + 1)) + down
+                heapq.heappush(heap, (neg_logp - step, tuple(child), i, j))
+    return config, out
+
+
+# S has exact probability ties (p(33S) / p(34S) = 3/17), which both walks
+# break by the counts tuple; the others have none
+BIT_IDENTITY = [
+    ("Sn", 1000), ("Xe", 300), ("Pd", 76), ("S", 500), ("C", 20000), ("H", 40000)
+]
+
+
+class TestBandWalk:
+    @pytest.mark.parametrize("alpha", [1.05, 2.0])
+    @pytest.mark.parametrize("symbol, n", BIT_IDENTITY)
+    def test_layers_match_heap_reference(self, symbol, n, alpha):
+        config, ref = heap_reference(symbol, n)
+        assert len(ref) > 4 * WARMUP
+        masses = np.array([mass_of(config, counts) for counts, _ in ref])
+        gen = SubisotopologueGenerator(config, LayerSchedule(alpha))
+        done = 0
+        while True:
+            mass, logp = gen.next_layer()
+            stop = done + logp.size
+            if stop > len(ref) or logp.size == 0:
+                break
+            want = zip(masses[done:stop].tolist(), [lp for _, lp in ref[done:stop]])
+            assert sorted(zip(mass.tolist(), logp.tolist())) == sorted(want), done
+            done = stop
+        assert 2 * done >= len(ref)  # the whole layers cover most of it
+
+    @pytest.mark.parametrize("symbol, n", BIT_IDENTITY)
+    def test_tuples_match_heap_reference(self, symbol, n):
+        config, ref = heap_reference(symbol, n)
+        gen = SubisotopologueGenerator(config, LayerSchedule(2.0))
+        got = [gen.next_tuple() for _ in ref]
+        assert got == ref
+        assert gen.generated >= gen.emitted == len(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        data=st.data(),
+        alpha=st.sampled_from([1.0, 1.05, 2.0]),
+    )
+    def test_band_walk_properties(self, m, data, alpha):
+        # universes up to a few thousand tuples, most past the warm-up
+        n = data.draw(st.integers(1, {1: 60, 2: 60, 3: 60, 4: 30, 5: 18}[m]))
+        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m))
+        probs = np.array(weights) / math.fsum(weights)
+        config = config_of(n, probs)
+        stream = SubisotopologueGenerator(config, LayerSchedule(alpha))
+        tuples = []
+        while (item := stream.next_tuple()) is not None:
+            tuples.append(item)
+        counts = [c for c, _ in tuples]
+        assert len(set(counts)) == len(counts) == config.tuple_count()
+        assert set(counts) == set(weak_compositions(n, m))
+
+        layered = SubisotopologueGenerator(config, LayerSchedule(alpha))
+        flat_mass, flat_logp, prev_min = [], [], math.inf
+        while (layer := layered.next_layer())[1].size:
+            mass, logp = layer
+            # logp never rises along a chain in exact arithmetic; a rounded
+            # step can, by a few ulps
+            assert logp.max() <= prev_min + 1e-12
+            prev_min = logp.min()
+            flat_mass.extend(mass.tolist())
+            flat_logp.extend(logp.tolist())
+        assert layered.exhausted and stream.exhausted
+        assert flat_logp == [lp for _, lp in tuples]
+        assert flat_mass == [mass_of(config, c) for c in counts]

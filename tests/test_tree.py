@@ -165,6 +165,23 @@ class TestLaziness:
             if row["kind"] == "element":
                 assert row["emitted"] <= 500, row
 
+    @pytest.mark.parametrize(
+        "formula, k",
+        [
+            ("Cd300", 1500),
+            ("Xe200", 3000),
+            ("Sn500", 31623),
+            ("Pd76", 684742),
+            ("C20000", 5000),
+        ],
+    )
+    def test_leaf_walks_few_more_tuples_than_it_emits(self, formula, k):
+        # runaway band thresholds walked 68x-1,246x the demand on such leaves
+        root = build_tree(parse_formula(formula), load_default())
+        select_top_k(root, k)
+        (row,) = tree_stats(root)
+        assert k <= row["emitted"] <= row["generated"] <= 4 * row["emitted"], row
+
     def test_stats_shape(self):
         root = build_tree(parse_formula("H2O"), load_default())
         select_top_k(root, 5)
@@ -186,7 +203,7 @@ class TestLaziness:
         assert [r["kind"] for r in rows] == ["merge", "element", "element"]
         for row, stream, size in zip(rows[1:], (x, y), (3, 2)):
             assert row["layers"] == stream.layers_emitted
-            assert 0 < row["emitted"] == stream.emitted <= size
+            assert 0 < row["emitted"] == stream.emitted == row["generated"] <= size
 
 
 class TestSelection:
@@ -235,3 +252,16 @@ class TestRandomizedOracleEquivalence:
                 k = min(k, total)
                 sel = select_top_k(build_tree(comp, table), k)
                 assert_peaks_equal(sel, ref_mass[:k], ref_logp[:k])
+
+
+@pytest.mark.parametrize(
+    "formula, alpha",
+    [("Au2Ca10Ga10Pd76", 1.05), ("Pd76Ga10Ca10Au2", 1.05), ("Au2Ca10Ga10Pd76", 2.0)],
+)
+def test_headline_molecule_at_p_09(formula, alpha):
+    # the paper's molecule; its Pd76 leaf emits 234,065 tuples here, far
+    # past the heap warm-up
+    root = build_tree(parse_formula(formula), load_default(), alpha)
+    sel = select_until_cumulative(root, 0.9)
+    assert len(sel) == 2_072_024
+    assert sel.cumulative == pytest.approx(0.900000019922, abs=1e-9)
