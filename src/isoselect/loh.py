@@ -3,8 +3,9 @@
 A layered arrangement partitions a contiguous array into layers whose sizes
 grow geometrically with rate ``alpha``. The descending layer property is:
 every key in layer t is >= every key in layer t+1. Producing the arrangement
-only requires rank selection at the layer boundaries, which is cheaper than
-sorting.
+only requires rank selection at the layer boundaries, not a full sort;
+:func:`layer_order` is the one routine that does it, for ``lohify``, the
+merge nodes' candidate buffer and the top-k trim at the tree root.
 
 All layered streams in this package (subisotopologue generators, pairwise
 selectors, the tree root) share one schedule convention: layer 1 has size 1
@@ -85,30 +86,30 @@ class LayeredValues:
             start = end
 
 
-def lohify(values, schedule: LayerSchedule) -> LayeredValues:
-    """Arrange keys into descending layers by repeated rank selection.
+def layer_order(keys: np.ndarray, ends) -> np.ndarray:
+    """Indices arranging ``keys`` into descending layers ending at ``ends``.
 
-    Runs in O(n) expected time for alpha > 1 (geometric layer sizes); the
-    introselect partition bounds the worst case. Within-layer order is
-    arbitrary, ties may land in either of two adjacent layers.
+    ``ends`` are the cumulative layer ends, increasing, the last equal to
+    ``keys.size``. Every key indexed before an end is >= every key indexed
+    after it; order inside a layer is arbitrary, and ties may land in either
+    of two adjacent layers. One ``np.argpartition`` places every boundary at
+    once, or a full sort when every layer holds one key.
     """
-    arr = np.asarray(values).copy()
-    n = arr.size
-    if n == 0:
-        return LayeredValues(arr, [], schedule)
-    boundaries = schedule.boundaries_upto(n)
-    if len(boundaries) >= n:
-        # alpha == 1 degenerates to one value per layer, i.e. a full sort
-        arr[::-1].sort()
-    else:
-        neg = -arr
-        start = 0
-        for end in boundaries[:-1]:
-            # in-place introselect: largest remaining block lands at [start:end]
-            neg[start:].partition(end - start - 1)
-            start = end
-        arr = -neg
-    return LayeredValues(arr, boundaries, schedule)
+    n = keys.size
+    if len(ends) >= n:
+        return np.argsort(keys)[::-1]
+    # partition ascending and read back reversed: no negated copy of keys
+    kth = np.array([n - e for e in ends[-2::-1]], dtype=np.intp)
+    return np.argpartition(keys, kth)[::-1]
+
+
+def lohify(values, schedule: LayerSchedule) -> LayeredValues:
+    """Arrange keys into descending layers by rank selection at the
+    schedule's boundaries (see :func:`layer_order`); the input is not
+    modified."""
+    arr = np.asarray(values)
+    boundaries = schedule.boundaries_upto(arr.size) if arr.size else []
+    return LayeredValues(arr[layer_order(arr, boundaries)], boundaries, schedule)
 
 
 def verify_loh(lv: LayeredValues) -> bool:

@@ -12,10 +12,12 @@ is popped, all sums in the product are materialized into a candidate buffer
 and the product re-enters keyed by its worst corner (sum of the layer
 minima). When a worst corner is popped, the product's size is credited to a
 guarantee counter: once the guarantee reaches k, the buffer provably holds
-the k best sums, and a linear-time rank selection extracts them. The heap and
-buffer persist across calls, so asking for successive layers never repeats
-work and pops exactly the products a one-shot selection of the cumulative k
-would have popped.
+the k best sums, and one rank selection (``loh.layer_order``) extracts them.
+The heap and buffer persist across calls, so asking for successive layers
+never repeats work and pops exactly the products a one-shot selection of the
+cumulative k would have popped. At alpha = 1 every product is 1 x 1, its two
+corners share one key, and unless sums tie the buffer holds only the peak
+being emitted, so the same buffer serves every alpha.
 
 Grid coverage is duplicate-free by construction: product (u, v) is pushed by
 (u, v-1), or by (u-1, 1) when v == 1, or is the seed (1, 1).
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loh import LayerSchedule
+from .loh import LayerSchedule, layer_order
 
 _BEST, _WORST = 0, 1
 _NEG_INF = -math.inf
@@ -50,7 +52,12 @@ class _ChildLayer(NamedTuple):
 
 
 class _PeakBuffer:
-    """Growable parallel (mass, logp) arrays with rank-select removal."""
+    """Growable parallel (mass, logp) arrays with rank-select removal: a
+    selector's candidate store, and the root accumulator of ``tree``.
+
+    ``take_top(n)`` returns the whole buffer without a selection; that is
+    every call of an alpha = 1 selector unless sums tie.
+    """
 
     def __init__(self):
         self.mass = np.empty(1024)
@@ -60,8 +67,11 @@ class _PeakBuffer:
     def _reserve(self, need: int):
         if need > self.mass.size:
             cap = max(2 * self.mass.size, need)
-            self.mass = np.concatenate([self.mass[: self.n], np.empty(cap - self.n)])
-            self.logp = np.concatenate([self.logp[: self.n], np.empty(cap - self.n)])
+            n = self.n
+            mass, logp = np.empty(cap), np.empty(cap)
+            mass[:n] = self.mass[:n]
+            logp[:n] = self.logp[:n]
+            self.mass, self.logp = mass, logp
 
     def extend(self, mass: np.ndarray, logp: np.ndarray):
         need = self.n + mass.size
@@ -83,54 +93,13 @@ class _PeakBuffer:
             out = self.mass[:n].copy(), self.logp[:n].copy()
             self.n = 0
             return out
-        if s == 1:
-            i = int(np.argmax(self.logp[:n]))
-            out = self.mass[i : i + 1].copy(), self.logp[i : i + 1].copy()
-            self.mass[i] = self.mass[n - 1]
-            self.logp[i] = self.logp[n - 1]
-            self.n = n - 1
-            return out
-        idx = np.argpartition(self.logp[:n], n - s)[n - s :]
-        out = self.mass[idx].copy(), self.logp[idx].copy()
-        keep = np.ones(n, dtype=bool)
-        keep[idx] = False
-        self.mass[: n - s] = self.mass[:n][keep]
-        self.logp[: n - s] = self.logp[:n][keep]
+        idx = layer_order(self.logp[:n], [s, n])
+        top, rest = idx[:s], idx[s:]
+        out = self.mass[top], self.logp[top]
+        self.mass[: n - s] = self.mass[rest]
+        self.logp[: n - s] = self.logp[rest]
         self.n = n - s
         return out
-
-
-class _HeapPeakBuffer:
-    """Candidate store as a max-heap of single peaks.
-
-    When every layer has size one (growth rate exactly 1) the array buffer
-    would rescan itself per emitted peak; heap pops keep that path loglinear.
-    """
-
-    def __init__(self):
-        self._heap: list[tuple[float, float]] = []  # (-logp, mass)
-
-    @property
-    def n(self) -> int:
-        return len(self._heap)
-
-    def extend(self, mass: np.ndarray, logp: np.ndarray):
-        heap = self._heap
-        for m, lp in zip(mass.tolist(), logp.tolist()):
-            heapq.heappush(heap, (-lp, m))
-
-    def add_one(self, mass: float, logp: float):
-        heapq.heappush(self._heap, (-logp, mass))
-
-    def take_top(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        mass = np.empty(s)
-        logp = np.empty(s)
-        heap = self._heap
-        for i in range(s):
-            neg_lp, m = heapq.heappop(heap)
-            mass[i] = m
-            logp[i] = -neg_lp
-        return mass, logp
 
 
 class ArrayPeakStream:
@@ -178,7 +147,7 @@ class PairwiseSelector:
         self._x_spine_wait = False
         self._y_wait: list[int] = []
         self._y_wait_lmax = _NEG_INF
-        self._buffer = _HeapPeakBuffer() if schedule.alpha == 1 else _PeakBuffer()
+        self._buffer = _PeakBuffer()
         self.guaranteed = 0
         self.emitted = 0
         self.layers_emitted = 0

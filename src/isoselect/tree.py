@@ -20,7 +20,7 @@ import numpy as np
 
 from .formula import Composition, parse_formula
 from .isotopes import IsotopeTable, load_default
-from .loh import LayerSchedule
+from .loh import LayerSchedule, layer_order
 from .multinomial import MultinomialConfig, SubisotopologueGenerator
 from .pairwise import PairwiseSelector, _PeakBuffer
 
@@ -137,7 +137,7 @@ def select_top_k(root: TreeNode, k: int) -> Selection:
         mass, logp = last
         keep = k - before
         if keep < logp.size:
-            idx = np.argpartition(-logp, keep - 1)[:keep]
+            idx = layer_order(logp, [keep, logp.size])[:keep]
             mass, logp = mass[idx], logp[idx]
         acc.extend(mass, logp)
     return Selection(acc.mass[: acc.n], acc.logp[: acc.n], truncated, layers)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoselect.loh import LayeredValues, LayerSchedule, lohify, verify_loh
+from isoselect.loh import LayeredValues, LayerSchedule, layer_order, lohify, verify_loh
 
 
 class TestLayerSchedule:
@@ -113,13 +113,22 @@ class TestVerifyLoh:
         st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=300
     ),
     alpha=st.sampled_from([1.0, 1.01, 1.05, 1.5, 2.0, 4.0]),
+    split=st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=200, deadline=None)
-def test_lohify_property(values, alpha):
+def test_lohify_property(values, alpha, split):
     arr = np.asarray(values, dtype=float)
     lv = lohify(arr, LayerSchedule(alpha))
     assert verify_loh(lv)
     assert np.array_equal(np.sort(lv.values), np.sort(arr))
+    # layer_order, the routine behind lohify, take_top and select_top_k's
+    # trim: the schedule's ends, and the two ends [s, n] of a top-s cut
+    n = arr.size
+    cuts = [lv.boundaries] + ([[1 + split % (n - 1), n]] if n > 1 else [])
+    for ends in cuts:
+        idx = layer_order(arr, ends)
+        assert np.array_equal(np.sort(idx), np.arange(n))
+        assert verify_loh(LayeredValues(arr[idx], ends, None))
 
 
 def test_lohify_bulk_random():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from isoselect.loh import LayerSchedule
-from isoselect.pairwise import ArrayPeakStream, PairwiseSelector
+from isoselect.pairwise import ArrayPeakStream, PairwiseSelector, _PeakBuffer
 
 
 def stream(logps, alpha=2.0, masses=None):
@@ -152,7 +152,7 @@ class TestSelectorRandomized:
         assert logp.size == 108
         assert np.all(logp == 0.0)
 
-    def test_heap_mode_equals_array_mode(self):
+    def test_alpha_one_equals_alpha_two(self):
         rng = np.random.default_rng(21)
         x = -rng.exponential(1.0, size=35)
         y = -rng.exponential(1.0, size=28)
@@ -164,6 +164,56 @@ class TestSelectorRandomized:
             _, lp = drain(sel)
             got[alpha] = np.sort(lp)
         assert np.array_equal(got[1.0], got[2.0])
+
+    def test_alpha_one_buffer_holds_only_the_emitted_peak(self):
+        # every product is 1 x 1 and its worst corner pops right after its
+        # best, so with distinct sums the store is empty between layers
+        rng = np.random.default_rng(13)
+        x = -rng.exponential(1.0, size=40)
+        y = -rng.exponential(1.0, size=30)
+        sel = PairwiseSelector(stream(x, 1.0), stream(y, 1.0), LayerSchedule(1.0))
+        emitted = 0
+        while True:
+            mass, _ = sel.next_layer()
+            assert sel._buffer.n == 0
+            if mass.size == 0:
+                break
+            emitted += mass.size
+        assert emitted == x.size * y.size
+
+
+class TestPeakBuffer:
+    @pytest.mark.parametrize(
+        "n, s",
+        [(1, 1), (9, 9), (9, 1), (9, 4), (3000, 3000), (3000, 1), (3000, 1700)],
+    )
+    def test_take_top_splits_exactly(self, n, s):
+        # integer keys in a small range tie exactly; masses are peak ids, so
+        # logp[mass] tells whether a mass still sits next to its own key
+        rng = np.random.default_rng(n + s)
+        logp = rng.integers(-8, 1, size=n).astype(float)
+        mass = np.arange(n, dtype=float)
+        buf = _PeakBuffer()
+        head = min(n, 5)
+        for i in range(head):
+            buf.add_one(mass[i], logp[i])
+        for lo in range(head, n, 300):
+            buf.extend(mass[lo : lo + 300], logp[lo : lo + 300])
+        assert buf.mass.size > 1024 or n <= 1024
+        top_mass, top_logp = buf.take_top(s)
+        assert buf.n == n - s
+        rest_mass, rest_logp = buf.mass[: buf.n], buf.logp[: buf.n]
+        ranked = np.sort(logp)
+        assert np.array_equal(np.sort(top_logp), ranked[n - s :])
+        assert np.array_equal(np.sort(rest_logp), ranked[: n - s])
+        ids = np.concatenate([top_mass, rest_mass]).astype(int)
+        assert np.array_equal(np.sort(ids), np.arange(n))
+        assert np.array_equal(logp[top_mass.astype(int)], top_logp)
+        assert np.array_equal(logp[rest_mass.astype(int)], rest_logp)
+        # the returned arrays are the caller's, untouched by later use
+        kept = top_logp.copy()
+        buf.extend(np.full(5, -1.0), np.full(5, 5.0))
+        assert np.array_equal(top_logp, kept)
 
 
 class TestLaziness:
