@@ -136,10 +136,9 @@ def _write(selection: Selection, args):
     sep = "\t" if args.format == "tsv" else ","
     prob = np.exp(selection.logp)
     logcol = selection.logp * _LOG10E if args.log10 else selection.logp
-    lines = [sep.join(("mass", "log_prob", "prob"))]
-    for m, lp, pr in zip(selection.mass, logcol, prob):
-        lines.append(f"{m:.17g}{sep}{lp:.17g}{sep}{pr:.17g}")
-    text = "\n".join(lines) + "\n"
+    row = sep.join(["{:.17g}"] * 3).format
+    rows = map(row, selection.mass.tolist(), logcol.tolist(), prob.tolist())
+    text = "\n".join([sep.join(("mass", "log_prob", "prob")), *rows]) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

@@ -5,7 +5,8 @@ grow geometrically with rate ``alpha``. The descending layer property is:
 every key in layer t is >= every key in layer t+1. Producing the arrangement
 only requires rank selection at the layer boundaries, not a full sort;
 :func:`layer_order` is the one routine that does it, for ``lohify``, the
-merge nodes' candidate buffer and the top-k trim at the tree root.
+merge nodes' candidate buffer and the top-k trim at a tree root that is a
+leaf. A merge root selects once instead, by a cut binned on logp.
 
 All layered streams in this package (subisotopologue generators, pairwise
 selectors, the tree root) share one schedule convention: layer 1 has size 1

@@ -9,10 +9,18 @@ its leaf directly.
 Everything below the root is pulled lazily, so selecting k peaks from a large
 molecule touches only a small, k-proportional slice of each element's
 subisotopologue universe.
+
+Only the nodes below the root run the online layered protocol. A merge root
+selects once: its pop loop runs until the count guarantee covers k, or the
+mass guarantee covers p, and then it cuts its own candidate buffer once (see
+``pairwise``). A root that is a leaf (a single-element formula, or the CLI's
+``--oracle`` enumeration) is read layer by layer instead, and only its last
+layer, the one that can overshoot, is trimmed.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -74,8 +82,8 @@ class Selection:
 
     mass: np.ndarray
     logp: np.ndarray
-    truncated: bool = False
-    layers_pulled: int = 0
+    truncated: bool = False  # the peaks ran out before k (or p < 1) was met
+    layers_pulled: int = 0  # root layers read; 1 for a merge root
 
     def __len__(self) -> int:
         return int(self.mass.size)
@@ -94,7 +102,7 @@ class Selection:
 
 
 def _pull_root(root: TreeNode, target, weigh):
-    """Pull root layers until their summed ``weigh`` reaches ``target``.
+    """Pull a leaf root's layers until their summed ``weigh`` reaches ``target``.
 
     Returns (buffer, last, before, layers, truncated). Under the descending
     layer property only the last layer pulled can overshoot, so it is held
@@ -126,31 +134,46 @@ def select_top_k(root: TreeNode, k: int) -> Selection:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    acc, last, before, layers, truncated = _pull_root(root, k, len)
+    if isinstance(root.stream, PairwiseSelector):
+        mass, logp = root.stream.top_k(k)
+        layers = 1
+    else:
+        acc, last, before, layers, _ = _pull_root(root, k, len)
+        if last is not None:
+            mass, logp = last
+            keep = k - before
+            if keep < logp.size:
+                idx = layer_order(logp, [keep, logp.size])[:keep]
+                mass, logp = mass[idx], logp[idx]
+            acc.extend(mass, logp)
+        mass, logp = acc.mass[: acc.n], acc.logp[: acc.n]
+    truncated = mass.size < k
     if truncated:
         warnings.warn(
-            f"only {acc.n} isotopologue peaks exist, fewer than the "
+            f"only {mass.size} isotopologue peaks exist, fewer than the "
             f"requested {k}",
             stacklevel=2,
         )
-    else:
-        mass, logp = last
-        keep = k - before
-        if keep < logp.size:
-            idx = layer_order(logp, [keep, logp.size])[:keep]
-            mass, logp = mass[idx], logp[idx]
-        acc.extend(mass, logp)
-    return Selection(acc.mass[: acc.n], acc.logp[: acc.n], truncated, layers)
+    return Selection(mass, logp, truncated, layers)
 
 
 def select_until_cumulative(root: TreeNode, p: float) -> Selection:
-    """The smallest set of most probable peaks with total probability >= p."""
+    """The smallest set of most probable peaks with total probability >= p.
+
+    p = 1 returns every peak: each has a positive probability, so nothing
+    less reaches 1, while a float sum reaches it at a peak set by rounding.
+    """
     if not (0 < p <= 1):
         raise ValueError(f"p must be in (0, 1], got {p}")
+    target = p if p < 1 else math.inf
+    if isinstance(root.stream, PairwiseSelector):
+        mass, logp, short = root.stream.until_cumulative(target)
+        return Selection(mass, logp, short and p < 1, layers_pulled=1)
     acc, last, before, layers, truncated = _pull_root(
-        root, p, lambda logp: float(np.exp(logp).sum())
+        root, target, lambda logp: float(np.exp(logp).sum())
     )
-    if not truncated:
+    truncated = truncated and p < 1
+    if last is not None:
         # trim the overshooting layer to the minimal prefix of its peaks in
         # probability order
         mass, logp = last
@@ -188,7 +211,8 @@ def tree_stats(root: TreeNode) -> list[dict]:
     """Per-node work counters, root first: layer pulls, peaks emitted, for
     element leaves the tuples generated (a leaf over a fixed peak list
     reports its emitted count), and for merge nodes the materialized total
-    and child pull counts."""
+    and child pull counts. A merge root that selected once reports one
+    layer, holding every peak it returned."""
     rows: list[dict] = []
 
     def visit(node: TreeNode, depth: int):

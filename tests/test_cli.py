@@ -74,6 +74,25 @@ def test_output_file(tmp_path, capsys):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--format", "csv"], ["--log10"], ["--format", "csv", "--log10"]]
+)
+def test_rows_match_per_scalar_formatting(tmp_path, extra):
+    # the rows of a Python loop formatting numpy scalars one by one, as the
+    # writer once did: the output must stay byte for byte the same
+    target = tmp_path / "peaks.out"
+    args = ["--formula", "C30H50N9O10S2", "--k", "3000", "--sorted"]
+    assert run([*args, *extra, "--output", str(target)]) == 0
+    sel = isotopologues("C30H50N9O10S2", k=3000).sorted()
+    sep = "," if "csv" in extra else "\t"
+    logcol = sel.logp * math.log10(math.e) if "--log10" in extra else sel.logp
+    lines = [sep.join(("mass", "log_prob", "prob"))]
+    for m, lp, pr in zip(sel.mass, logcol, np.exp(sel.logp)):
+        lines.append(f"{m:.17g}{sep}{lp:.17g}{sep}{pr:.17g}")
+    want = ("\n".join(lines) + "\n").encode("utf-8")
+    assert target.read_bytes() == want
+
+
 def test_log10_flag(capsys):
     assert run(["--formula", "H2O", "--k", "3", "--sorted", "--log10"]) == 0
     _, rows = parse_output(capsys.readouterr().out)

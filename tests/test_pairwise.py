@@ -105,6 +105,39 @@ class TestSelectorRandomized:
             assert np.array_equal(np.sort(got)[::-1], all_sums(x, y))
             assert sel.materialized_total == nx * ny
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
+    def test_guarantees_hold_wherever_the_loop_stops(self, alpha):
+        # the premise of a one-shot cut: when the pop loop stops, every sum
+        # not yet materialized is at most the cut key, and the buffered sums
+        # at or above it number at least `guaranteed` and carry at least
+        # `guaranteed_mass`; masses are pair ids, to tell which sums exist
+        rng = np.random.default_rng(int(alpha * 10))
+        for i in range(12):
+            nx, ny = (int(n) for n in rng.integers(2, 25, size=2))
+            x = -rng.exponential(rng.uniform(0.1, 3.0), size=nx)
+            y = -rng.exponential(rng.uniform(0.1, 3.0), size=ny)
+            if i % 3 == 0:  # exact ties
+                x, y = np.round(x), np.round(y)
+            sums = np.add.outer(x, y)
+            schedule = LayerSchedule(alpha)
+            sel = PairwiseSelector(
+                ArrayPeakStream(np.arange(nx) * 100.0, x, schedule),
+                ArrayPeakStream(np.arange(ny) * 1.0, y, schedule),
+                schedule,
+            )
+            for count in range(1, nx * ny + 1):
+                sel._fill(count)
+                buf = sel._buffer
+                ids = buf.mass[: buf.n].astype(int)
+                made = np.zeros((nx, ny), dtype=bool)
+                made[ids // 100, ids % 100] = True
+                assert sel.guaranteed >= count
+                assert np.all(sums[~made] <= sel.cut_key)
+                top = buf.logp[: buf.n] >= sel.cut_key
+                assert np.count_nonzero(top) >= sel.guaranteed
+                mass = np.exp(buf.logp[: buf.n][top]).sum()
+                assert mass >= sel.guaranteed_mass * (1 - 1e-12)
+
     def test_layers_are_descending_blocks(self):
         rng = np.random.default_rng(9)
         x = -rng.exponential(1.0, size=40)

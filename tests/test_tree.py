@@ -155,6 +155,130 @@ class TestOnlineConsistency:
         assert np.array_equal(np.asarray(mass)[a], sel.mass[b])
 
 
+def layered_prefix(root, k):
+    """The first k peaks of a root read layer by layer: whole layers, then
+    the top of the layer that crosses k."""
+    mass, logp = [], []
+    while len(logp) < k:
+        m, lp = root.stream.next_layer()
+        if m.size == 0:
+            break
+        mass.extend(m.tolist())
+        logp.extend(lp.tolist())
+    mass, logp = np.asarray(mass), np.asarray(logp)
+    order = np.lexsort((mass, -logp))[:k]
+    return mass[order], logp[order]
+
+
+def assert_same_multiset(sel, mass, logp):
+    a = np.lexsort((sel.mass, sel.logp))
+    b = np.lexsort((mass, logp))
+    assert np.array_equal(sel.logp[a], logp[b])
+    assert np.array_equal(sel.mass[a], mass[b])
+
+
+def equal_key_root(nx=4, ny=6):
+    # every sum has the same logp, -ln(nx) - ln(ny)
+    schedule = LayerSchedule(1.5)
+    x = ArrayPeakStream(np.arange(nx) + 10.0, np.full(nx, -np.log(nx)), schedule)
+    y = ArrayPeakStream(np.arange(ny) * 0.1, np.full(ny, -np.log(ny)), schedule)
+    return TreeNode(PairwiseSelector(x, y, schedule), "(x+y)")
+
+
+class TestOneShotRoot:
+    """A merge root selects once: one pop loop to a count or mass guarantee,
+    then one cut in its own buffer."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_top_k_equals_layered_stream(self, alpha):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            comp, table = random_molecule(rng, max_total=20000)
+            total = isotopologue_count(comp, table)
+            for k in sorted({1, min(17, total), max(1, total // 3), total}):
+                root = build_tree(comp, table, alpha)
+                if not isinstance(root.stream, PairwiseSelector):
+                    continue
+                sel = select_top_k(root, k)
+                mass, logp = layered_prefix(build_tree(comp, table, alpha), k)
+                # the same products, summed the same way: exact equality
+                assert_same_multiset(sel, mass, logp)
+                assert sel.layers_pulled == 1
+                row = tree_stats(root)[0]
+                assert row["layers"] == 1
+                assert row["emitted"] == len(sel) == k
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_coverage_count_is_minimal_prefix(self, alpha):
+        rng = np.random.default_rng(43)
+        for _ in range(6):
+            comp, table = random_molecule(rng, max_total=20000)
+            _, logp = enumerate_all(comp, table)
+            csum = np.cumsum(np.exp(np.sort(logp)[::-1]))
+            for p in (0.25, 0.75, 0.999, 1.0):
+                # every peak has a positive probability, so only all of them
+                # reach p = 1
+                want = logp.size if p == 1 else int(np.searchsorted(csum, p)) + 1
+                root = build_tree(comp, table, alpha)
+                sel = select_until_cumulative(root, p)
+                assert len(sel) == want
+                assert not sel.truncated
+                if isinstance(root.stream, PairwiseSelector):
+                    assert sel.layers_pulled == 1
+                    row = tree_stats(root)[0]
+                    assert row["layers"] == 1 and row["emitted"] == len(sel)
+
+    def test_all_equal_keys(self):
+        key = -np.log(4) - np.log(6)
+        sel = select_top_k(equal_key_root(), 7)
+        assert len(sel) == 7
+        assert np.all(sel.logp == key)
+        assert len(set(sel.mass.tolist())) == 7
+        sel = select_until_cumulative(equal_key_root(), 0.5)
+        csum = np.cumsum(np.full(24, np.exp(key)))
+        assert len(sel) == int(np.searchsorted(csum, 0.5)) + 1
+        assert len(select_until_cumulative(equal_key_root(), 1.0)) == 24
+
+    def test_k_beyond_universe_warns_and_truncates(self):
+        rng = np.random.default_rng(47)
+        comp, table = random_molecule(rng, max_total=3000)
+        while len(comp) < 2:
+            comp, table = random_molecule(rng, max_total=3000)
+        mass, logp = enumerate_all(comp, table)
+        root = build_tree(comp, table)
+        with pytest.warns(UserWarning, match="fewer"):
+            sel = select_top_k(root, logp.size + 5)
+        assert sel.truncated
+        assert_peaks_equal(sel, mass, logp)
+        assert tree_stats(root)[0]["emitted"] == logp.size
+
+    def test_short_buffered_mass_resumes_popping(self):
+        # a mass guarantee that runs ahead of the buffer's own sum, as one
+        # rounded up past p would: the first cut falls short, and the loop
+        # must pop on rather than return too little
+        rng = np.random.default_rng(53)
+        comp, table = random_molecule(rng, max_total=20000)
+        while len(comp) < 2:
+            comp, table = random_molecule(rng, max_total=20000)
+        _, logp = enumerate_all(comp, table)
+        csum = np.cumsum(np.exp(np.sort(logp)[::-1]))
+        root = build_tree(comp, table)
+        stream = root.stream
+        stream.guaranteed_mass = 0.3
+        cuts = []
+        cut = stream._buffer.cut
+
+        def spy(*args):
+            out = cut(*args)
+            cuts.append(out[0])
+            return out
+
+        stream._buffer.cut = spy
+        sel = select_until_cumulative(root, 0.75)
+        assert len(sel) == int(np.searchsorted(csum, 0.75)) + 1
+        assert cuts[0] is None and cuts[-1] == len(sel)
+
+
 class TestLaziness:
     def test_small_k_touches_little_of_each_element(self):
         table = load_default()
