@@ -12,7 +12,7 @@ All layered streams in this package (subisotopologue generators, pairwise
 selectors, the tree root) share one schedule convention: layer 1 has size 1
 and the cumulative size after t layers is the rounded geometric series
 ``(alpha**t - 1) / (alpha - 1)``, with every layer at least size 1. For
-``alpha == 1`` every layer has size 1.
+``alpha == 1`` every layer has size 1, and the schedule stores nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class LayerSchedule:
         """Total number of values in layers 1..t."""
         if t < 0:
             raise ValueError("layer index must be >= 0")
+        if self.alpha == 1.0:
+            return t
         while len(self._cumulative) <= t:
             self._cumulative.append(self._next_boundary())
         return self._cumulative[t]
@@ -44,8 +46,6 @@ class LayerSchedule:
     def _next_boundary(self) -> int:
         prev = self._cumulative[-1]
         t = len(self._cumulative)
-        if self.alpha == 1.0:
-            return prev + 1
         if t * math.log(self.alpha) > 700.0:
             # closed form overflows floats; extend by the exact recurrence
             return int(prev * Fraction(self.alpha)) + 1
@@ -57,6 +57,8 @@ class LayerSchedule:
     def layer_size(self, t: int) -> int:
         if t < 1:
             raise ValueError("layer index must be >= 1")
+        if self.alpha == 1.0:
+            return 1
         return self.cumulative(t) - self.cumulative(t - 1)
 
     def boundaries_upto(self, n: int) -> list[int]:

@@ -9,19 +9,30 @@ The unit of work is a layer product: the |u| x |v| grid of sums between X
 layer u and Y layer v. Products pass through a single max-heap twice. First
 they are keyed by their best corner (sum of the two layer maxima); when that
 is popped, all sums in the product are materialized into a candidate buffer
-and the product re-enters keyed by its worst corner (sum of the layer
-minima). Popping a worst corner credits the product to two guarantees: its
-size to a count (``guaranteed``) and its probability mass, the product of
-its two child layers' masses, to a mass (``guaranteed_mass``), and its key
-becomes the cut key. Keys pop in nonincreasing order, so every credited sum
-is at least the cut key, and every sum not yet materialized is at most it:
-the buffer provably holds the ``guaranteed`` best sums, and these carry at
-least ``guaranteed_mass`` of probability.
+(in batches, see below) and the product re-enters keyed by its worst corner
+(sum of the layer minima). Popping a worst corner credits the product to two
+guarantees: its size to a count (``guaranteed``) and its probability mass,
+the product of its two child layers' masses, to a mass
+(``guaranteed_mass``), and its key becomes the cut key. Keys pop in
+nonincreasing order, so every credited sum is at least the cut key, and
+every sum not yet materialized is at most it: when the loop returns, the
+buffer provably holds the ``guaranteed`` best sums, and these carry at least
+``guaranteed_mass`` of probability.
 
 There is one pop loop, and it stops when either guarantee reaches its
 target. A worst corner that would be the next pop anyway (it heads the heap
 and outranks both parked bounds below) is credited at once, without the heap
 round trip; the pop order is the same.
+
+The loop touches keys only. It reads each child layer's max, min, size and
+mass from lists of Python numbers, and the two parked bounds from fields
+that change only where parking does. A popped best corner is recorded as
+(u, v); its sums are written to the buffer at the next flush, in pop order
+and each product row-major, so the buffer holds what writing each product
+as it pops would hold. A flush comes when the pending sums reach
+``_BATCH``, before a product that large, and when the loop returns; a flush
+of more than ``_FEW`` products is one ragged gather over the pending layers
+instead of one ``np.add.outer`` per product.
 
 The selector serves two kinds of caller.
 
@@ -43,8 +54,9 @@ The selector serves two kinds of caller.
   the root consumes layers, so this is the X+Y step of the paper done
   once, and it ends the stream.
 
-Grid coverage is duplicate-free by construction: product (u, v) is pushed by
-(u, v-1), or by (u-1, 1) when v == 1, or is the seed (1, 1).
+Grid coverage is duplicate-free by construction: with layers numbered from
+0, product (u, v) is pushed by (u, v-1), or by (u-1, 0) when v == 0, or is
+the seed (0, 0).
 
 Child layers are pulled lazily. A successor product whose child layer does
 not exist yet is parked, with an upper bound on its best corner derived from
@@ -58,7 +70,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,25 +78,9 @@ from .loh import LayerSchedule, layer_order
 _BEST, _WORST = 0, 1
 _NEG_INF = -math.inf
 _CHUNK = 1 << 16  # entries per step of the cut's chunked passes
+_BATCH = 1 << 12  # pending sums that make the pop loop flush
+_FEW = 6  # a flush of at most this many products writes them one by one
 _BINS = 1 << 12  # logp bins of the cut
-
-
-class _ChildLayer(NamedTuple):
-    mass: np.ndarray
-    logp: np.ndarray
-    lmax: float
-    lmin: float
-    prob: float  # probability mass, sum of exp(logp)
-
-
-def _child_layer(mass: np.ndarray, logp: np.ndarray) -> _ChildLayer:
-    if logp.size == 1:
-        # alpha = 1 pulls: no numpy reductions for a one-peak layer
-        lp = float(logp[0])
-        return _ChildLayer(mass, logp, lp, lp, math.exp(lp))
-    return _ChildLayer(
-        mass, logp, float(logp.max()), float(logp.min()), float(np.exp(logp).sum())
-    )
 
 
 class _PeakBuffer:
@@ -104,19 +99,26 @@ class _PeakBuffer:
 
     def _reserve(self, need: int):
         if need > self.mass.size:
-            cap = max(2 * self.mass.size, need)
+            cap = self.mass.size
+            while cap < need:
+                cap *= 2
             n = self.n
             mass, logp = np.empty(cap), np.empty(cap)
             mass[:n] = self.mass[:n]
             logp[:n] = self.logp[:n]
             self.mass, self.logp = mass, logp
 
-    def extend(self, mass: np.ndarray, logp: np.ndarray):
-        need = self.n + mass.size
+    def append(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of ``size`` new entries at the end, for the caller to fill."""
+        start, need = self.n, self.n + size
         self._reserve(need)
-        self.mass[self.n : need] = mass
-        self.logp[self.n : need] = logp
         self.n = need
+        return self.mass[start:need], self.logp[start:need]
+
+    def extend(self, mass: np.ndarray, logp: np.ndarray):
+        m, lp = self.append(mass.size)
+        m[:] = mass
+        lp[:] = logp
 
     def add_one(self, mass: float, logp: float):
         self._reserve(self.n + 1)
@@ -227,6 +229,44 @@ class ArrayPeakStream:
         return self._mass[lo:hi], self._logp[lo:hi]
 
 
+def _joined(arrays: list[np.ndarray], index) -> np.ndarray:
+    """The arrays at ``index``, end to end. They are contiguous float64, so
+    a bytes join copies them, at a third of ``np.concatenate``'s cost per
+    array."""
+    return np.frombuffer(b"".join([arrays[i] for i in index]))
+
+
+class _Layers:
+    """One child's pulled layers as parallel lists, in pull order: the
+    arrays, and each layer's max, min, size and probability mass as Python
+    numbers for the pop loop."""
+
+    __slots__ = ("mass", "logp", "lmax", "lmin", "size", "prob")
+
+    def __init__(self):
+        self.mass: list[np.ndarray] = []
+        self.logp: list[np.ndarray] = []
+        self.lmax: list[float] = []
+        self.lmin: list[float] = []
+        self.size: list[int] = []
+        self.prob: list[float] = []
+
+    def add(self, mass: np.ndarray, logp: np.ndarray):
+        if logp.size == 1:
+            # alpha = 1 pulls: no numpy reductions for a one-peak layer
+            lmax = lmin = float(logp[0])
+            prob = math.exp(lmax)
+        else:
+            lmax, lmin = float(logp.max()), float(logp.min())
+            prob = float(np.exp(logp).sum())
+        self.mass.append(np.ascontiguousarray(mass, dtype=np.float64))
+        self.logp.append(np.ascontiguousarray(logp, dtype=np.float64))
+        self.lmax.append(lmax)
+        self.lmin.append(lmin)
+        self.size.append(logp.size)
+        self.prob.append(prob)
+
+
 class PairwiseSelector:
     """Stream of the most probable X+Y peak combinations, in layers, or one
     selection of them by count or coverage.
@@ -238,14 +278,18 @@ class PairwiseSelector:
         self.x = x
         self.y = y
         self.schedule = schedule
-        self.x_layers: list[_ChildLayer] = []
-        self.y_layers: list[_ChildLayer] = []
+        self._x = _Layers()
+        self._y = _Layers()
         self.x_done = False
         self.y_done = False
+        # heap entries (-key, u, v, phase), u and v 0-based layer indices
         self._heap: list[tuple[float, int, int, int]] = []
+        # parked products and the bounds on their best corners, -inf when
+        # nothing is parked; changed only where parking changes
         self._x_spine_wait = False
+        self._x_bound = _NEG_INF
         self._y_wait: list[int] = []
-        self._y_wait_lmax = _NEG_INF
+        self._y_bound = _NEG_INF
         self._buffer = _PeakBuffer()
         self.guaranteed = 0
         self.guaranteed_mass = 0.0
@@ -262,8 +306,8 @@ class PairwiseSelector:
         # can form; these two pulls are unconditional
         self._pull_x()
         self._pull_y()
-        if self.x_layers and self.y_layers:
-            self._push_product(1, 1)
+        if self._x.size and self._y.size:
+            self._push_product(0, 0)
 
     # -- child layers ------------------------------------------------------
 
@@ -273,121 +317,152 @@ class PairwiseSelector:
         if mass.size == 0:
             self.x_done = True
             self._x_spine_wait = False
+            self._x_bound = _NEG_INF
             return
-        self.x_layers.append(_child_layer(mass, logp))
+        self._x.add(mass, logp)
         self._stored += mass.size
         if self._x_spine_wait:
             self._x_spine_wait = False
-            self._push_product(len(self.x_layers), 1)
+            self._x_bound = _NEG_INF
+            self._push_product(len(self._x.size) - 1, 0)
 
     def _pull_y(self):
         mass, logp = self.y.next_layer()
         self.y_pulls += 1
         if mass.size == 0:
             self.y_done = True
-            self._y_wait.clear()
-            self._y_wait_lmax = _NEG_INF
-            return
-        self.y_layers.append(_child_layer(mass, logp))
-        self._stored += mass.size
-        if self._y_wait:
-            v = len(self.y_layers)
+        else:
+            self._y.add(mass, logp)
+            self._stored += mass.size
+            v = len(self._y.size) - 1
             for u in self._y_wait:
                 self._push_product(u, v)
-            self._y_wait.clear()
-            self._y_wait_lmax = _NEG_INF
+        self._y_wait.clear()
+        self._y_bound = _NEG_INF
 
     # -- heap and products -------------------------------------------------
 
     def _push_product(self, u: int, v: int):
-        key = self.x_layers[u - 1].lmax + self.y_layers[v - 1].lmax
+        key = self._x.lmax[u] + self._y.lmax[v]
         heapq.heappush(self._heap, (-key, u, v, _BEST))
-
-    def _bound_x(self) -> float:
-        if not self._x_spine_wait or self.x_done:
-            return _NEG_INF
-        return self.x_layers[-1].lmin + self.y_layers[0].lmax
-
-    def _bound_y(self) -> float:
-        if not self._y_wait or self.y_done:
-            return _NEG_INF
-        return self._y_wait_lmax + self.y_layers[-1].lmin
-
-    def _prepare_top(self) -> bool:
-        """Activate parked products that could outrank the heap top.
-
-        Returns True when the heap top is safe to pop, False at exhaustion.
-        """
-        while True:
-            bx = self._bound_x()
-            by = self._bound_y()
-            if bx == _NEG_INF and by == _NEG_INF:
-                return bool(self._heap)
-            top = -self._heap[0][0] if self._heap else _NEG_INF
-            if max(bx, by) < top:
-                return True
-            if bx >= by:
-                self._pull_x()
-            else:
-                self._pull_y()
 
     def _fill(self, count, mass=math.inf):
         """Pop products until ``guaranteed`` reaches count or
-        ``guaranteed_mass`` reaches mass, or every product is credited."""
-        while (
-            self.guaranteed < count
-            and self.guaranteed_mass < mass
-            and self._prepare_top()
-        ):
-            self._advance()
-
-    def _advance(self):
-        heap = self._heap
-        neg_key, u, v, phase = heapq.heappop(heap)
-        xl = self.x_layers[u - 1]
-        yl = self.y_layers[v - 1]
-        if phase == _BEST:
-            if xl.mass.size == 1 and yl.mass.size == 1:
-                self._buffer.add_one(
-                    float(xl.mass[0]) + float(yl.mass[0]), xl.lmax + yl.lmax
-                )
+        ``guaranteed_mass`` reaches mass, or every product is credited; a
+        popped best corner waits in ``pending`` for ``_write``."""
+        heap, push, pop = self._heap, heapq.heappush, heapq.heappop
+        batch = _BATCH
+        X, Y = self._x, self._y
+        xmax, xmin, xsize, xprob = X.lmax, X.lmin, X.size, X.prob
+        ymax, ymin, ysize, yprob = Y.lmax, Y.lmin, Y.size, Y.prob
+        nx, ny = len(xmax), len(ymax)
+        bx, by = self._x_bound, self._y_bound
+        guaranteed, got_mass = self.guaranteed, self.guaranteed_mass
+        cut_key = self.cut_key
+        made = 0
+        stored = self._stored
+        stored_at_best = -1  # child peaks stored at the last best-corner pop
+        pending: list[tuple[int, int]] = []
+        pending_sums = 0
+        while guaranteed < count and got_mass < mass:
+            # activate parked products that could outrank the heap top
+            while True:
+                if heap:
+                    top = -heap[0][0]
+                    if (bx < top and by < top) or (bx == by == _NEG_INF):
+                        break
+                elif bx == by == _NEG_INF:
+                    break
+                if bx >= by:
+                    self._pull_x()
+                else:
+                    self._pull_y()
+                bx, by, stored = self._x_bound, self._y_bound, self._stored
+                nx, ny = len(xmax), len(ymax)
+            if not heap:
+                break
+            neg_key, u, v, phase = pop(heap)
+            if phase == _BEST:
+                n = xsize[u] * ysize[v]
+                if n >= batch and pending:
+                    self._write(pending, pending_sums)
+                    pending, pending_sums = [], 0
+                pending.append((u, v))
+                pending_sums += n
+                if pending_sums >= batch:
+                    self._write(pending, pending_sums)
+                    pending, pending_sums = [], 0
+                made += n
+                stored_at_best = stored
+                # successors: (u+1, 0) down the spine, (u, v+1) along the row;
+                # one whose child layer is not pulled yet is parked
+                if v == 0:
+                    if u + 1 < nx:
+                        push(heap, (-(xmax[u + 1] + ymax[0]), u + 1, 0, _BEST))
+                    elif not self.x_done:
+                        self._x_spine_wait = True
+                        bx = self._x_bound = xmin[u] + ymax[0]
+                if v + 1 < ny:
+                    push(heap, (-(xmax[u] + ymax[v + 1]), u, v + 1, _BEST))
+                elif not self.y_done:
+                    self._y_wait.append(u)
+                    # by bounds the best waiting row: rounding is monotonic,
+                    # so the largest sum comes from the largest row max
+                    if xmax[u] + ymin[-1] > by:
+                        by = self._y_bound = xmax[u] + ymin[-1]
+                key = xmin[u] + ymin[v]
+                worst = (-key, u, v, _WORST)
+                # credit now only if this worst corner would be the next pop
+                if (heap and heap[0] < worst) or bx >= key or by >= key:
+                    push(heap, worst)
+                    continue
             else:
-                self._buffer.extend(
-                    np.add.outer(xl.mass, yl.mass).ravel(),
-                    np.add.outer(xl.logp, yl.logp).ravel(),
-                )
-            self.materialized_total += xl.mass.size * yl.mass.size
-            resident = self._buffer.n + self._stored
+                key = -neg_key
+            guaranteed += xsize[u] * ysize[v]
+            got_mass += xprob[u] * yprob[v]
+            cut_key = key
+        if pending:
+            self._write(pending, pending_sums)
+        self.guaranteed, self.guaranteed_mass = guaranteed, got_mass
+        self.cut_key = cut_key
+        self.materialized_total += made
+        # buffer and stored peaks only grow inside one call, so the last
+        # best-corner pop saw the call's most resident peaks
+        if stored_at_best >= 0:
+            resident = self._buffer.n + stored_at_best
             if resident > self.peak_resident:
                 self.peak_resident = resident
-            self._push_successors(u, v)
-            key = xl.lmin + yl.lmin
-            worst = (-key, u, v, _WORST)
-            # credit now only if this worst corner would be the next pop
-            if (heap and heap[0] < worst) or max(
-                self._bound_x(), self._bound_y()
-            ) >= key:
-                heapq.heappush(heap, worst)
-                return
-        else:
-            key = -neg_key
-        self.guaranteed += xl.mass.size * yl.mass.size
-        self.guaranteed_mass += xl.prob * yl.prob
-        self.cut_key = key
 
-    def _push_successors(self, u: int, v: int):
-        if v == 1:
-            if u + 1 <= len(self.x_layers):
-                self._push_product(u + 1, 1)
-            elif not self.x_done:
-                self._x_spine_wait = True
-        if v + 1 <= len(self.y_layers):
-            self._push_product(u, v + 1)
-        elif not self.y_done:
-            self._y_wait.append(u)
-            lmax = self.x_layers[u - 1].lmax
-            if lmax > self._y_wait_lmax:
-                self._y_wait_lmax = lmax
+    def _write(self, pending: list[tuple[int, int]], total: int):
+        """Append the sums of the pending products (u, v) to the buffer, in
+        pop order, each product row-major: product by product when there are
+        at most ``_FEW``, else by one ragged gather of ``total`` sums."""
+        X, Y, buf = self._x, self._y, self._buffer
+        if len(pending) <= _FEW:
+            for u, v in pending:
+                xm, ym = X.mass[u], Y.mass[v]
+                if xm.size == 1 == ym.size:
+                    buf.add_one(float(xm[0]) + float(ym[0]), X.lmax[u] + Y.lmax[v])
+                else:
+                    buf.extend(
+                        np.add.outer(xm, ym).ravel(),
+                        np.add.outer(X.logp[u], Y.logp[v]).ravel(),
+                    )
+            return
+        us, vs = zip(*pending)
+        a = np.array([X.size[u] for u in us])
+        b = np.array([Y.size[v] for v in vs])
+        # the X layers, joined in pop order, give one row per entry; row i
+        # pairs its X entry with row_len[i] Y entries from y_at[i] on
+        row_len = np.repeat(b, a)
+        y_at = np.repeat(np.cumsum(b) - b, a)
+        row_at = np.cumsum(row_len) - row_len
+        y_idx = np.arange(total) + np.repeat(y_at - row_at, row_len)
+        xm, xl = _joined(X.mass, us), _joined(X.logp, us)
+        ym, yl = _joined(Y.mass, vs), _joined(Y.logp, vs)
+        mass, logp = buf.append(total)
+        np.add(np.repeat(xm, row_len), ym[y_idx], out=mass)
+        np.add(np.repeat(xl, row_len), yl[y_idx], out=logp)
 
     # -- output ------------------------------------------------------------
 
@@ -423,7 +498,7 @@ class PairwiseSelector:
             self._fill(count, mass)
             exhausted = self.guaranteed < count and self.guaranteed_mass < mass
             # the seed product's key bounds every sum from above
-            top = self.x_layers[0].lmax + self.y_layers[0].lmax if buf.n else 0.0
+            top = self._x.lmax[0] + self._y.lmax[0] if buf.n else 0.0
             kept, total = buf.cut(want, self.cut_key, top, by_mass)
             if kept is not None or exhausted:
                 short = kept is None
@@ -441,5 +516,7 @@ class PairwiseSelector:
         self._buffer = _PeakBuffer()
         self._heap.clear()
         self._x_spine_wait = False
+        self._x_bound = _NEG_INF
         self._y_wait.clear()
+        self._y_bound = _NEG_INF
         return buf.mass[:n], buf.logp[:n]

@@ -186,11 +186,22 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
 
+def checkout_env():
+    """The environment with this checkout's source first on PYTHONPATH, for
+    a child Python process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "isoselect", "--formula", "H2O", "--k", "2"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("mass\tlog_prob\tprob\n")
@@ -219,16 +230,12 @@ def test_console_script():
         f"sys.argv[0] = {ep.name!r}\n"
         f"sys.exit({ep.attr}())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-c", wrapper]
         + ["--formula", "H2O", "--k", "1", "--format", "csv"],
         capture_output=True,
         text=True,
-        env=env,
+        env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "mass,log_prob,prob"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,24 @@ class TestLayerSchedule:
     def test_alpha_one_is_all_ones(self):
         s = LayerSchedule(1.0)
         assert [s.layer_size(t) for t in range(1, 50)] == [1] * 49
+
+    def test_alpha_one_stores_nothing(self):
+        # a constant schedule answers from t alone, so a million layers
+        # allocate nothing that grows with t
+        s = LayerSchedule(1.0)
+        tracemalloc.start()
+        try:
+            assert s.cumulative(10**6) == 10**6
+            assert s.layer_size(10**6) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert s.boundaries_upto(4) == [1, 2, 3, 4]
+        with pytest.raises(ValueError):
+            s.cumulative(-1)
+        with pytest.raises(ValueError):
+            s.layer_size(0)
 
     def test_sizes_are_positive_everywhere(self):
         for alpha in (1.0, 1.000001, 1.02, 1.05, 1.61, 2.0, 7.5):

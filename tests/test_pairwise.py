@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isoselect import pairwise
 from isoselect.loh import LayerSchedule
 from isoselect.pairwise import ArrayPeakStream, PairwiseSelector, _PeakBuffer
 
@@ -249,6 +250,101 @@ class TestPeakBuffer:
         assert np.array_equal(top_logp, kept)
 
 
+    def test_capacity_doubles_past_uneven_extends(self):
+        # capacities stay 1024 * 2**j, even when one extend outgrows twice
+        # the capacity, and every entry survives each growth copy
+        buf = _PeakBuffer()
+        sizes = [1, 700, 2000, 9000, 5, 40000]
+        total = 0
+        for size in sizes:
+            ids = np.arange(total, total + size, dtype=float)
+            buf.extend(ids, -ids)
+            total += size
+            cap = buf.mass.size
+            assert buf.logp.size == cap >= total
+            assert cap & (cap - 1) == 0 and cap >= 1024
+            assert cap < 2 * total or cap == 1024
+        assert buf.mass.size == 65536
+        assert np.array_equal(buf.mass[:total], np.arange(total, dtype=float))
+        assert np.array_equal(buf.logp[:total], -np.arange(total, dtype=float))
+
+
+def selections(x, y, alpha, masses=None):
+    """Layer by layer output, a top-k and a coverage selection of X+Y, each
+    from a fresh selector."""
+    def fresh():
+        schedule = LayerSchedule(alpha)
+        mx = masses[0] if masses else x
+        my = masses[1] if masses else y
+        return PairwiseSelector(
+            ArrayPeakStream(mx, x, schedule), ArrayPeakStream(my, y, schedule), schedule
+        )
+
+    layered = []
+    sel = fresh()
+    while True:
+        mass, logp = sel.next_layer()
+        layered.append((mass, logp))
+        if mass.size == 0:
+            break
+    universe = len(x) * len(y)
+    top = fresh().top_k(max(1, universe // 3))
+    total = np.exp(np.add.outer(x, y)).sum()
+    cover = fresh().until_cumulative(0.6 * total)
+    return layered, top, cover
+
+
+class TestBatchedWrites:
+    """Pending products are written in batches; a flush bound of 1 writes
+    each product as it pops. The buffer must hold the same values in the
+    same order either way, so every output is equal as arrays."""
+
+    @staticmethod
+    def assert_same(a, b):
+        layered_a, top_a, cover_a = a
+        layered_b, top_b, cover_b = b
+        assert len(layered_a) == len(layered_b)
+        for (ma, la), (mb, lb) in zip(layered_a, layered_b):
+            assert np.array_equal(ma, mb) and np.array_equal(la, lb)
+        for (ma, la, *ra), (mb, lb, *rb) in ((top_a, top_b), (cover_a, cover_b)):
+            assert np.array_equal(ma, mb) and np.array_equal(la, lb)
+            assert ra == rb
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_flush_bound_changes_nothing(self, alpha, monkeypatch):
+        rng = np.random.default_rng(int(alpha * 100))
+        for i in range(8):
+            nx, ny = (int(n) for n in rng.integers(2, 90, size=2))
+            x = -rng.exponential(rng.uniform(0.2, 3.0), size=nx)
+            y = -rng.exponential(rng.uniform(0.2, 3.0), size=ny)
+            if i % 2 == 0:  # exact ties
+                x, y = np.round(x), np.round(y)
+            masses = (rng.uniform(10, 500, size=nx), rng.uniform(10, 500, size=ny))
+            batched = selections(x, y, alpha, masses)
+            with monkeypatch.context() as m:
+                m.setattr(pairwise, "_BATCH", 1)
+                one_by_one = selections(x, y, alpha, masses)
+            self.assert_same(batched, one_by_one)
+
+    def test_product_larger_than_the_bound(self, monkeypatch):
+        # at alpha 2 the layers reach 128 and 256 peaks, so late products
+        # are at least _BATCH sums and go straight through np.add.outer
+        rng = np.random.default_rng(5)
+        x = -rng.exponential(1.0, size=500)
+        y = -rng.exponential(1.0, size=300)
+        assert 128 * 128 >= pairwise._BATCH
+        batched = selections(x, y, 2.0)
+        with monkeypatch.context() as m:
+            m.setattr(pairwise, "_BATCH", 1)
+            one_by_one = selections(x, y, 2.0)
+        self.assert_same(batched, one_by_one)
+        # and a small bound splits the run into many ragged gathers
+        with monkeypatch.context() as m:
+            m.setattr(pairwise, "_BATCH", 64)
+            small = selections(x, y, 2.0)
+        self.assert_same(batched, small)
+
+
 class TestLaziness:
     def test_does_not_drain_children_for_small_k(self):
         # steep drop after the first key: top-1 must not touch deep layers
@@ -268,7 +364,7 @@ class TestLaziness:
 
         def spy(axis, pull):
             def call():
-                pulls.append((axis, sel._bound_x(), sel._bound_y()))
+                pulls.append((axis, sel._x_bound, sel._y_bound))
                 pull()
 
             return call
@@ -288,3 +384,16 @@ class TestLaziness:
         sel = PairwiseSelector(stream(x, 1.3), stream(y, 1.3), LayerSchedule(1.3))
         sel.next_layer()
         assert sel.peak_resident > 0
+
+    @pytest.mark.parametrize("alpha, seed, resident", [(1.05, 1, 156), (2.0, 0, 895)])
+    def test_resident_peak_is_read_at_the_last_best_corner_pop(
+        self, alpha, seed, resident
+    ):
+        # values recorded when every best-corner pop updated the count; here
+        # a child layer pulled after the last such pop must not raise it
+        rng = np.random.default_rng(seed)
+        x = -rng.exponential(1.0, size=int(rng.integers(5, 40)))
+        y = -rng.exponential(1.0, size=int(rng.integers(5, 40)))
+        sel = PairwiseSelector(stream(x, alpha), stream(y, alpha), LayerSchedule(alpha))
+        sel.top_k(x.size * y.size // 4)
+        assert sel.peak_resident == resident

@@ -330,6 +330,44 @@ class TestLaziness:
             assert 0 < row["emitted"] == stream.emitted == row["generated"] <= size
 
 
+# tree_stats rows (depth left out) of two top-k selections, recorded before
+# the merge pop loop wrote products in batches; the work counts must not move
+RECORDED_STATS = {
+    ("C16900H26500N4650O5300S170", 1.05, 10**5): [
+        ("(((C16900+H26500)+(N4650+O5300))+S170)", "merge", 1, 100000, 109913, 138, 15, 126707),
+        ("((C16900+H26500)+(N4650+O5300))", "merge", 138, 16773, 18539, 46, 54, 2991),
+        ("(C16900+H26500)", "merge", 46, 168, 178, 24, 6, 69),
+        ("C16900", "element", 24, 44, 44),
+        ("H26500", "element", 6, 6, 6),
+        ("(N4650+O5300)", "merge", 54, 258, 285, 11, 21, 91),
+        ("N4650", "element", 11, 14, 14),
+        ("O5300", "element", 21, 35, 35),
+        ("S170", "element", 15, 21, 21),
+    ],
+    ("C760H1210N212O230S6", 1.0, 3000): [
+        ("(((C760+H1210)+(N212+O230))+S6)", "merge", 1, 3000, 3000, 1209, 10, 4219),
+        ("((C760+H1210)+(N212+O230))", "merge", 1209, 1209, 1209, 62, 52, 115),
+        ("(C760+H1210)", "merge", 62, 62, 62, 23, 5, 29),
+        ("C760", "element", 23, 23, 23),
+        ("H1210", "element", 5, 5, 5),
+        ("(N212+O230)", "merge", 52, 52, 52, 8, 13, 22),
+        ("N212", "element", 8, 8, 8),
+        ("O230", "element", 13, 13, 13),
+        ("S6", "element", 10, 10, 10),
+    ],
+}
+
+
+@pytest.mark.parametrize("formula, alpha, k", list(RECORDED_STATS))
+def test_tree_stats_match_recorded(formula, alpha, k):
+    root = build_tree(parse_formula(formula), load_default(), alpha)
+    assert len(select_top_k(root, k)) == k
+    rows = [
+        tuple(v for key, v in row.items() if key != "depth") for row in tree_stats(root)
+    ]
+    assert rows == RECORDED_STATS[formula, alpha, k]
+
+
 class TestSelection:
     def test_sorted_orders_by_probability_then_mass(self):
         sel = Selection(
