@@ -140,6 +140,22 @@ class MultinomialConfig:
     def tuple_count(self) -> int:
         return math.comb(self.n + self.m - 1, self.m - 1)
 
+    def log_width(self) -> float:
+        """Estimated log-width of the element's stream, 0 for one isotope.
+
+        This is the Gaussian entropy 1/2 (m-1) ln(2 pi e n) + 1/2 sum_i ln p_i
+        of the multinomial. It is the log of the constant in the module
+        docstring's count estimate V_{m-1} (2 n d)^{(m-1)/2} sqrt(prod_i p_i),
+        with the unit-ball volume V_{m-1} taken as (pi e)^{(m-1)/2}: wider
+        leaves place more tuples within any d nats of their mode.
+        """
+        if self.m == 1:
+            return 0.0
+        return 0.5 * (
+            (self.m - 1) * math.log(2 * math.pi * math.e * self.n)
+            + math.fsum(self.log_probs)
+        )
+
 
 def log_pmf(config: MultinomialConfig, counts) -> float:
     """ln P(counts) = ln n! - sum ln x_i! + sum x_i ln p_i, ascending i."""

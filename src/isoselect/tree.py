@@ -1,10 +1,13 @@
 """Merge tree over per-element streams, and the top-level selection calls.
 
-Each element of a formula gets a subisotopologue stream; a balanced binary
-tree of pairwise X+Y selectors combines them into whole-molecule peaks.
-Leaves sit in formula order and are paired left to right level by level, the
-odd one out moving up a level unpaired. A single-element formula is served by
-its leaf directly.
+Each element of a formula gets a subisotopologue stream; a binary tree of
+pairwise X+Y selectors combines them into whole-molecule peaks. The tree is
+built Huffman-style on each leaf's estimated log-width
+(:meth:`~isoselect.multinomial.MultinomialConfig.log_width`): the two
+narrowest nodes merge first, and a merge's width is the sum of its
+children's, so the widest streams meet last, at the root. Equal widths are
+taken in formula order. A single-element formula is served by its leaf
+directly.
 
 Everything below the root is pulled lazily, so selecting k peaks from a large
 molecule touches only a small, k-proportional slice of each element's
@@ -20,6 +23,7 @@ layer, the one that can overshoot, is trimmed.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,7 +49,8 @@ def build_tree(
     table: IsotopeTable,
     alpha: float = 1.05,
 ) -> TreeNode:
-    """Build the selection tree for a composition. Raises
+    """Build the selection tree for a composition, narrowest streams paired
+    first; each merge takes its wider child as X. Raises
     :class:`~isoselect.isotopes.UnknownElementError` for missing elements."""
     if len(comp) == 0:
         raise ValueError("empty composition")
@@ -55,25 +60,26 @@ def build_tree(
         for symbol, count in comp
     ]
     schedule = LayerSchedule(alpha)
-    nodes = [
-        TreeNode(stream=SubisotopologueGenerator(config, schedule), label=label)
-        for label, config in leaves
+    # keyed by (width, creation index): ties go to the earlier node, so
+    # leaves of equal width pair in formula order
+    heap = [
+        (config.log_width(), i, TreeNode(SubisotopologueGenerator(config, schedule), label))
+        for i, (label, config) in enumerate(leaves)
     ]
-    while len(nodes) > 1:
-        paired = []
-        for i in range(0, len(nodes) - 1, 2):
-            left, right = nodes[i], nodes[i + 1]
-            paired.append(
-                TreeNode(
-                    stream=PairwiseSelector(left.stream, right.stream, schedule),
-                    label=f"({left.label}+{right.label})",
-                    children=(left, right),
-                )
-            )
-        if len(nodes) % 2:
-            paired.append(nodes[-1])
-        nodes = paired
-    return nodes[0]
+    heapq.heapify(heap)
+    created = len(heap)
+    while len(heap) > 1:
+        width_a, _, a = heapq.heappop(heap)
+        width_b, _, b = heapq.heappop(heap)
+        x, y = (b, a) if width_b > width_a else (a, b)
+        node = TreeNode(
+            stream=PairwiseSelector(x.stream, y.stream, schedule),
+            label=f"({x.label}+{y.label})",
+            children=(x, y),
+        )
+        heapq.heappush(heap, (width_a + width_b, created, node))
+        created += 1
+    return heap[0][2]
 
 
 @dataclass

@@ -52,6 +52,21 @@ class TestConfig:
         # C(n+m-1, m-1)
         assert config_of(4, [0.25] * 4).tuple_count() == math.comb(7, 3)
 
+    def test_log_width(self):
+        assert config_of(10, [1.0]).log_width() == 0.0
+        assert config_of(1, [1.0]).log_width() == 0.0
+        probs = [0.9, 0.07, 0.03]
+        want = (
+            math.log(2 * math.pi * math.e * 50) + 0.5 * sum(map(math.log, probs))
+        )
+        assert config_of(50, probs).log_width() == pytest.approx(want, rel=1e-12)
+        # the Gaussian entropy: ln sqrt(2 pi e n p q) for two isotopes
+        assert config_of(8, [0.25, 0.75]).log_width() == pytest.approx(
+            0.5 * math.log(2 * math.pi * math.e * 8 * 0.25 * 0.75), rel=1e-12
+        )
+        widths = [config_of(n, probs).log_width() for n in (1, 2, 10, 100, 10**4)]
+        assert widths == sorted(set(widths))
+
     def test_from_isotopes(self):
         table = load_default()
         config = MultinomialConfig.from_isotopes(2, table.get("H"))

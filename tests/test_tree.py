@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import logsumexp, random_molecule
 from isoselect.formula import Composition, parse_formula
-from isoselect.isotopes import UnknownElementError, load_default
+from isoselect.isotopes import UnknownElementError, load_default, parse_table
 from isoselect.loh import LayerSchedule
-from isoselect.multinomial import SubisotopologueGenerator
+from isoselect.multinomial import MultinomialConfig, SubisotopologueGenerator
 from isoselect.oracle import enumerate_all, isotopologue_count, top_k_reference
 from isoselect.pairwise import ArrayPeakStream, PairwiseSelector
 from isoselect.tree import (
@@ -40,16 +42,36 @@ class TestBuildTree:
         assert root.label == "Xe5"
 
     def test_four_elements_balance(self):
+        # narrowest first: O1, then H4, N1 and C1 in rising width
         root = build_tree(parse_formula("CH4NO"), load_default())
-        assert root.label == "((C1+H4)+(N1+O1))"
+        assert root.label == "(C1+(N1+(H4+O1)))"
 
     def test_five_elements_promotes_last(self):
         root = build_tree(
             parse_formula("C16H26N4O5S1"), load_default()
         )
-        assert root.label == "(((C16+H26)+(N4+O5))+S1)"
-        # the promoted leaf pairs at the top level
-        assert root.children[1].label == "S1"
+        assert root.label == "(C16+(N4+(H26+(O5+S1))))"
+        # the widest leaf pairs at the top level, as X
+        assert root.children[0].label == "C16"
+
+    def test_shape_ignores_formula_order(self):
+        table = load_default()
+        items = tuple(parse_formula("C16H26N4O5S1"))
+        labels = {
+            build_tree(Composition(order), table).label
+            for order in itertools.permutations(items)
+        }
+        assert labels == {"(C16+(N4+(H26+(O5+S1))))"}
+        for formula in ("Au2Ca10Ga10Pd76", "Pd76Ga10Ca10Au2"):
+            root = build_tree(parse_formula(formula), table)
+            assert root.label == "(Pd76+(Ga10+(Au2+Ca10)))"
+
+    def test_equal_widths_pair_in_formula_order(self):
+        table = parse_table("Q 10.0 0.5\nQ 11.0 0.5\nR 20.0 0.5\nR 21.0 0.5\nT 5.0 1.0\n")
+        assert build_tree(parse_formula("Q3R3"), table).label == "(Q3+R3)"
+        assert build_tree(parse_formula("R3Q3"), table).label == "(R3+Q3)"
+        # a one-isotope leaf has width 0 and merges first, here with R3
+        assert build_tree(parse_formula("Q4R3T2"), table).label == "(Q4+(R3+T2))"
 
     def test_unknown_element(self):
         with pytest.raises(UnknownElementError):
@@ -330,8 +352,41 @@ class TestLaziness:
             assert 0 < row["emitted"] == stream.emitted == row["generated"] <= size
 
 
-# tree_stats rows (depth left out) of two top-k selections, recorded before
-# the merge pop loop wrote products in batches; the work counts must not move
+def formula_order_tree(comp, table, alpha=1.05):
+    """A merge tree with the leaves in formula order, paired left to right
+    level by level, the odd one out moving up a level unpaired."""
+    schedule = LayerSchedule(alpha)
+    nodes = [
+        TreeNode(
+            SubisotopologueGenerator(
+                MultinomialConfig.from_isotopes(count, table.get(symbol)), schedule
+            ),
+            f"{symbol}{count}",
+        )
+        for symbol, count in comp
+    ]
+    while len(nodes) > 1:
+        paired = [
+            TreeNode(
+                PairwiseSelector(x.stream, y.stream, schedule),
+                f"({x.label}+{y.label})",
+                (x, y),
+            )
+            for x, y in zip(nodes[::2], nodes[1::2])
+        ]
+        nodes = paired + nodes[len(paired) * 2 :]
+    return nodes[0]
+
+
+def stats_rows(root):
+    return [
+        tuple(v for key, v in row.items() if key != "depth") for row in tree_stats(root)
+    ]
+
+
+# tree_stats rows (depth left out) of two top-k selections on formula-order
+# trees, recorded before the merge pop loop wrote products in batches; they
+# pin PairwiseSelector's work counts, which must not move
 RECORDED_STATS = {
     ("C16900H26500N4650O5300S170", 1.05, 10**5): [
         ("(((C16900+H26500)+(N4650+O5300))+S170)", "merge", 1, 100000, 109913, 138, 15, 126707),
@@ -358,14 +413,84 @@ RECORDED_STATS = {
 }
 
 
+# the same two selections on build_tree's width-ordered trees, recorded when
+# build_tree began pairing the narrowest streams first
+WIDTH_ORDER_STATS = {
+    ("C16900H26500N4650O5300S170", 1.05, 10**5): [
+        ("(((N4650+H26500)+O5300)+(C16900+S170))", "merge", 1, 100000, 110528, 76, 68, 111854),
+        ("((N4650+H26500)+O5300)", "merge", 76, 795, 897, 26, 21, 227),
+        ("(N4650+H26500)", "merge", 26, 51, 54, 11, 6, 27),
+        ("N4650", "element", 11, 14, 14),
+        ("H26500", "element", 6, 6, 6),
+        ("O5300", "element", 21, 35, 35),
+        ("(C16900+S170)", "merge", 68, 531, 582, 23, 15, 139),
+        ("C16900", "element", 23, 41, 41),
+        ("S170", "element", 15, 21, 21),
+    ],
+    ("C760H1210N212O230S6", 1.0, 3000): [
+        ("(C760+(N212+(O230+(H1210+S6))))", "merge", 1, 3000, 3000, 23, 283, 3306),
+        ("C760", "element", 23, 23, 23),
+        ("(N212+(O230+(H1210+S6)))", "merge", 283, 283, 283, 8, 89, 97),
+        ("N212", "element", 8, 8, 8),
+        ("(O230+(H1210+S6))", "merge", 89, 89, 89, 13, 21, 34),
+        ("O230", "element", 13, 13, 13),
+        ("(H1210+S6)", "merge", 21, 21, 21, 5, 11, 16),
+        ("H1210", "element", 5, 5, 5),
+        ("S6", "element", 11, 11, 11),
+    ],
+}
+
+
 @pytest.mark.parametrize("formula, alpha, k", list(RECORDED_STATS))
 def test_tree_stats_match_recorded(formula, alpha, k):
+    root = formula_order_tree(parse_formula(formula), load_default(), alpha)
+    assert len(select_top_k(root, k)) == k
+    assert stats_rows(root) == RECORDED_STATS[formula, alpha, k]
+
+
+@pytest.mark.parametrize("formula, alpha, k", list(WIDTH_ORDER_STATS))
+def test_width_order_stats_match_recorded(formula, alpha, k):
     root = build_tree(parse_formula(formula), load_default(), alpha)
     assert len(select_top_k(root, k)) == k
-    rows = [
-        tuple(v for key, v in row.items() if key != "depth") for row in tree_stats(root)
-    ]
-    assert rows == RECORDED_STATS[formula, alpha, k]
+    rows = stats_rows(root)
+    assert rows == WIDTH_ORDER_STATS[formula, alpha, k]
+    # the width-ordered tree materializes fewer sums than formula order
+    width_order, formula_order = (
+        sum(row[4] for row in table if row[1] == "merge")
+        for table in (rows, RECORDED_STATS[formula, alpha, k])
+    )
+    assert width_order < formula_order
+
+
+class TestShapeDoesNotChangeTheAnswer:
+    """The width-ordered tree and the formula-order tree return the same
+    peaks: equal counts, logp and mass equal within 1e-9."""
+
+    def molecules(self, seed):
+        rng = np.random.default_rng(seed)
+        found = 0
+        while found < 8:
+            # max_isotopes 4 draws one-isotope elements too
+            comp, table = random_molecule(rng, max_total=20000)
+            if len(comp) >= 3:
+                found += 1
+                yield comp, table
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_top_k(self, alpha):
+        for comp, table in self.molecules(59):
+            total = isotopologue_count(comp, table)
+            for k in sorted({1, min(50, total), max(1, total // 4), total}):
+                a = select_top_k(build_tree(comp, table, alpha), k)
+                b = select_top_k(formula_order_tree(comp, table, alpha), k)
+                assert_peaks_equal(a, b.mass, b.logp)
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_coverage(self, p):
+        for comp, table in self.molecules(61):
+            a = select_until_cumulative(build_tree(comp, table), p)
+            b = select_until_cumulative(formula_order_tree(comp, table), p)
+            assert_peaks_equal(a, b.mass, b.logp)
 
 
 class TestSelection:
