@@ -1,8 +1,8 @@
 """Command line interface: formula in, peak table out.
 
 Exit codes: 0 success, 2 formula parse error, 3 unknown element or bad
-isotope table, 4 invalid parameters. When several are wrong, the first in
-that order is reported.
+isotope table, 4 invalid parameters, 5 the ``--output`` file cannot be
+written. When several are wrong, the first in that order is reported.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .tree import Selection, TreeNode, build_tree, select_top_k, select_until_cu
 EXIT_FORMULA = 2
 EXIT_TABLE = 3
 EXIT_PARAMS = 4
+EXIT_OUTPUT = 5
 
 _LOG10E = math.log10(math.e)
 
@@ -128,21 +129,25 @@ def run(argv=None) -> int:
         selection = selection.sorted()
     if args.time:
         print(f"selection time: {elapsed:.6f} s", file=sys.stderr)
-    _write(selection, args)
-    return 0
+    return _write(selection, args)
 
 
-def _write(selection: Selection, args):
+def _write(selection: Selection, args) -> int:
     sep = "\t" if args.format == "tsv" else ","
     prob = np.exp(selection.logp)
     logcol = selection.logp * _LOG10E if args.log10 else selection.logp
     row = sep.join(["{:.17g}"] * 3).format
     rows = map(row, selection.mass.tolist(), logcol.tolist(), prob.tolist())
     text = "\n".join([sep.join(("mass", "log_prob", "prob")), *rows]) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_OUTPUT
+    return 0
 
 
 def main(argv=None):

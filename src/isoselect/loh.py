@@ -4,12 +4,12 @@ A layered arrangement partitions a contiguous array into layers whose sizes
 grow geometrically with rate ``alpha``. The descending layer property is:
 every key in layer t is >= every key in layer t+1. Producing the arrangement
 only requires rank selection at the layer boundaries, not a full sort;
-:func:`layer_order` is the one routine that does it, for ``lohify``, the
-merge nodes' candidate buffer and the top-k trim at a tree root that is a
-leaf. A merge root selects once instead, by a cut binned on logp.
+:func:`layer_order` is the one routine that does it, for ``lohify`` and the
+merge nodes' candidate buffer. A tree root selects once instead: a merge
+root by a cut binned on logp, a leaf by a prefix of its exact order.
 
 All layered streams in this package (subisotopologue generators, pairwise
-selectors, the tree root) share one schedule convention: layer 1 has size 1
+selectors, fixed peak lists) share one schedule convention: layer 1 has size 1
 and the cumulative size after t layers is the rounded geometric series
 ``(alpha**t - 1) / (alpha - 1)``, with every layer at least size 1. For
 ``alpha == 1`` every layer has size 1, and the schedule stores nothing.

@@ -264,7 +264,8 @@ class SubisotopologueGenerator:
 
     Single consumer; each ``next_layer`` call emits the next schedule-sized
     batch of peaks in nonincreasing probability order, a short final batch at
-    exhaustion, then empty batches forever. ``generated`` counts the tuples
+    exhaustion, then empty batches forever. At a tree root, ``top_k`` or
+    ``until_cumulative`` selects once instead. ``generated`` counts the tuples
     placed in order so far, the warm-up's and every band's; it is at least
     ``emitted``.
     """
@@ -309,9 +310,48 @@ class SubisotopologueGenerator:
 
     def next_layer(self) -> tuple[np.ndarray, np.ndarray]:
         """Emit the next layer of peaks as (mass array, logp array)."""
+        return self.top_k(self.schedule.layer_size(self.layers_emitted + 1))
+
+    def top_k(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next k peaks in order, or all that remain; one layer."""
         self.layers_emitted += 1
-        counts, logp = self._take(self.schedule.layer_size(self.layers_emitted))
+        counts, logp = self._take(k)
         return _row_masses(counts, self._masses), logp
+
+    def until_cumulative(self, p: float) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The fewest next peaks, in order, whose probability sums to at
+        least p, and whether they ran out short of p (then all that remain
+        are returned); one layer. Takes the rest of the warm-up, then of
+        each band, carrying the sum from take to take as one cumsum. A cut
+        leaves the rest unemitted, but one in the warm-up spends the heap's
+        tail: this is the stream's last read."""
+        self.layers_emitted += 1
+        parts = [(np.empty(0), np.empty(0))]
+        total = 0.0
+        while total < p:
+            warm = self._heap is not None
+            if warm:
+                size = WARMUP - self.emitted
+            elif self._cursor < self._band[1].size or self._walk_band():
+                size = self._band[1].size - self._cursor
+            else:
+                break
+            counts, logp = self._take(size)
+            if logp.size == 0:
+                break
+            csum = np.exp(logp)
+            csum[0] += total
+            np.cumsum(csum, out=csum)
+            total = float(csum[-1])
+            if total >= p:
+                keep = int(np.searchsorted(csum, p)) + 1
+                back = logp.size - keep  # past the cut: not emitted
+                self.emitted -= back
+                if not warm:
+                    self._cursor -= back
+                counts, logp = counts[:keep], logp[:keep]
+            parts.append((_row_masses(counts, self._masses), logp))
+        return (*_concat(parts), total < p)
 
     def _take(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``size`` tuples in order, as (counts rows, logp)."""

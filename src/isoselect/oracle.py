@@ -1,10 +1,10 @@
 """Brute-force reference path: enumerate every isotopologue of a compound.
 
 Only feasible for small compounds. The merge tree never calls into this
-module. The CLI's ``--oracle`` feeds :func:`enumerate_all` to the same
-selection routine the tree's root goes through, so it checks the tree, not
-the selection; :func:`top_k_reference` and the tests' cumsum counts stay the
-independent references for selection itself.
+module. The CLI's ``--oracle`` sorts :func:`enumerate_all`'s peaks once and
+takes a prefix of them (an ``ArrayPeakStream`` root), so it shares no
+selection code with the merge tree and checks the tree's selection as well
+as its peaks.
 """
 
 from __future__ import annotations

@@ -84,9 +84,8 @@ _BINS = 1 << 12  # logp bins of the cut
 
 
 class _PeakBuffer:
-    """Growable parallel (mass, logp) arrays: a selector's candidate store,
-    and the accumulator of ``tree`` for a root that is a leaf. ``take_top``
-    removes one layer by rank selection, ``cut`` makes a root's one cut.
+    """Growable (mass, logp) arrays, a selector's candidate store.
+    ``take_top`` removes a layer by rank selection; ``cut``, a root's one cut.
 
     ``take_top(n)`` returns the whole buffer without a selection; that is
     every call of an alpha = 1 selector unless sums tie.
@@ -204,15 +203,16 @@ class _PeakBuffer:
 
 class ArrayPeakStream:
     """Layered stream over a fixed peak list, for tests, demos, leaves that
-    are cheaper to enumerate than to generate incrementally, and the root of
-    the CLI's ``--oracle`` selection over an exhaustive enumeration.
-
-    Peaks are arranged descending by logp and dealt out per the schedule.
+    are cheaper to enumerate than to generate incrementally, and the CLI's
+    ``--oracle`` root. Peaks are sorted by logp, descending, ties in input
+    order; ``top_k`` and ``until_cumulative`` take a prefix of that order.
     """
 
     def __init__(self, mass, logp, schedule: LayerSchedule):
         mass = np.asarray(mass, dtype=float)
         logp = np.asarray(logp, dtype=float)
+        if mass.ndim != 1 or mass.shape != logp.shape:
+            raise ValueError("mass and logp must be 1-D arrays of equal length")
         order = np.argsort(-logp, kind="stable")
         self._mass = mass[order]
         self._logp = logp[order]
@@ -221,12 +221,21 @@ class ArrayPeakStream:
         self.layers_emitted = 0
 
     def next_layer(self) -> tuple[np.ndarray, np.ndarray]:
-        self.layers_emitted += 1
-        size = self.schedule.layer_size(self.layers_emitted)
+        return self.top_k(self.schedule.layer_size(self.layers_emitted + 1))
+
+    def top_k(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next k peaks, in order, or all that remain; one layer."""
         lo = self.emitted
-        hi = min(lo + size, self._logp.size)
-        self.emitted = hi
+        hi = self.emitted = min(lo + k, self._logp.size)
+        self.layers_emitted += 1
         return self._mass[lo:hi], self._logp[lo:hi]
+
+    def until_cumulative(self, p: float) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The fewest next peaks whose probability sums to at least p, and
+        whether they ran out short of p (then all that remain); one layer."""
+        csum = np.cumsum(np.exp(self._logp[self.emitted :]))
+        cut = int(np.searchsorted(csum, p))
+        return (*self.top_k(cut + 1), cut == csum.size)
 
 
 def _joined(arrays: list[np.ndarray], index) -> np.ndarray:

@@ -13,12 +13,13 @@ Everything below the root is pulled lazily, so selecting k peaks from a large
 molecule touches only a small, k-proportional slice of each element's
 subisotopologue universe.
 
-Only the nodes below the root run the online layered protocol. A merge root
-selects once: its pop loop runs until the count guarantee covers k, or the
-mass guarantee covers p, and then it cuts its own candidate buffer once (see
+Only the nodes below the root run the online layered protocol. Every root
+selects once, by its stream's ``top_k`` or ``until_cumulative``. A merge
+root's pop loop runs until the count guarantee covers k, or the mass
+guarantee covers p, and then it cuts its own candidate buffer once (see
 ``pairwise``). A root that is a leaf (a single-element formula, or the CLI's
-``--oracle`` enumeration) is read layer by layer instead, and only its last
-layer, the one that can overshoot, is trimmed.
+``--oracle`` enumeration) emits its peaks in exact order, so its top k is a
+prefix and its coverage count comes from one running cumsum.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ import numpy as np
 
 from .formula import Composition, parse_formula
 from .isotopes import IsotopeTable, load_default
-from .loh import LayerSchedule, layer_order
+from .loh import LayerSchedule
 from .multinomial import MultinomialConfig, SubisotopologueGenerator
-from .pairwise import PairwiseSelector, _PeakBuffer
+from .pairwise import PairwiseSelector
 
 
 @dataclass
 class TreeNode:
-    stream: object  # anything with next_layer() -> (mass, logp)
+    stream: object  # next_layer() for a parent; top_k(k), until_cumulative(p) at a root
     label: str
     children: tuple["TreeNode", ...] = ()
 
@@ -89,7 +90,6 @@ class Selection:
     mass: np.ndarray
     logp: np.ndarray
     truncated: bool = False  # the peaks ran out before k (or p < 1) was met
-    layers_pulled: int = 0  # root layers read; 1 for a merge root
 
     def __len__(self) -> int:
         return int(self.mass.size)
@@ -102,35 +102,7 @@ class Selection:
     def sorted(self) -> "Selection":
         """Copy ordered by descending probability, ties by ascending mass."""
         order = np.lexsort((self.mass, -self.logp))
-        return Selection(
-            self.mass[order], self.logp[order], self.truncated, self.layers_pulled
-        )
-
-
-def _pull_root(root: TreeNode, target, weigh):
-    """Pull a leaf root's layers until their summed ``weigh`` reaches ``target``.
-
-    Returns (buffer, last, before, layers, truncated). Under the descending
-    layer property only the last layer pulled can overshoot, so it is held
-    back as ``last`` for the caller to trim; ``buffer`` holds the layers
-    before it and ``before`` their weight. If the stream runs out first,
-    every peak is in ``buffer`` and ``last`` is None.
-    """
-    acc = _PeakBuffer()
-    last = None
-    total = before = 0
-    layers = 0
-    while total < target:
-        mass, logp = root.stream.next_layer()
-        layers += 1
-        if last is not None:
-            acc.extend(*last)
-        if mass.size == 0:
-            return acc, None, total, layers, True
-        last = (mass, logp)
-        before = total
-        total += weigh(logp)
-    return acc, last, before, layers, False
+        return Selection(self.mass[order], self.logp[order], self.truncated)
 
 
 def select_top_k(root: TreeNode, k: int) -> Selection:
@@ -140,19 +112,7 @@ def select_top_k(root: TreeNode, k: int) -> Selection:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(root.stream, PairwiseSelector):
-        mass, logp = root.stream.top_k(k)
-        layers = 1
-    else:
-        acc, last, before, layers, _ = _pull_root(root, k, len)
-        if last is not None:
-            mass, logp = last
-            keep = k - before
-            if keep < logp.size:
-                idx = layer_order(logp, [keep, logp.size])[:keep]
-                mass, logp = mass[idx], logp[idx]
-            acc.extend(mass, logp)
-        mass, logp = acc.mass[: acc.n], acc.logp[: acc.n]
+    mass, logp = root.stream.top_k(k)
     truncated = mass.size < k
     if truncated:
         warnings.warn(
@@ -160,7 +120,7 @@ def select_top_k(root: TreeNode, k: int) -> Selection:
             f"requested {k}",
             stacklevel=2,
         )
-    return Selection(mass, logp, truncated, layers)
+    return Selection(mass, logp, truncated)
 
 
 def select_until_cumulative(root: TreeNode, p: float) -> Selection:
@@ -171,23 +131,8 @@ def select_until_cumulative(root: TreeNode, p: float) -> Selection:
     """
     if not (0 < p <= 1):
         raise ValueError(f"p must be in (0, 1], got {p}")
-    target = p if p < 1 else math.inf
-    if isinstance(root.stream, PairwiseSelector):
-        mass, logp, short = root.stream.until_cumulative(target)
-        return Selection(mass, logp, short and p < 1, layers_pulled=1)
-    acc, last, before, layers, truncated = _pull_root(
-        root, target, lambda logp: float(np.exp(logp).sum())
-    )
-    truncated = truncated and p < 1
-    if last is not None:
-        # trim the overshooting layer to the minimal prefix of its peaks in
-        # probability order
-        mass, logp = last
-        order = np.argsort(-logp, kind="stable")
-        csum = np.cumsum(np.exp(logp[order]))
-        cut = min(int(np.searchsorted(csum, p - before)), logp.size - 1)
-        acc.extend(mass[order[: cut + 1]], logp[order[: cut + 1]])
-    return Selection(acc.mass[: acc.n], acc.logp[: acc.n], truncated, layers)
+    mass, logp, short = root.stream.until_cumulative(p if p < 1 else math.inf)
+    return Selection(mass, logp, short and p < 1)
 
 
 def isotopologues(
@@ -217,8 +162,8 @@ def tree_stats(root: TreeNode) -> list[dict]:
     """Per-node work counters, root first: layer pulls, peaks emitted, for
     element leaves the tuples generated (a leaf over a fixed peak list
     reports its emitted count), and for merge nodes the materialized total
-    and child pull counts. A merge root that selected once reports one
-    layer, holding every peak it returned."""
+    and child pull counts. A root that selected once reports one layer,
+    holding every peak it returned."""
     rows: list[dict] = []
 
     def visit(node: TreeNode, depth: int):

@@ -185,6 +185,13 @@ class TestExitCodes:
         assert run(args) == 4
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_output_is_5(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.tsv"
+        assert run(["--formula", "H2O", "--k", "3", "--output", str(target)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err and not target.exists()
+
 
 def checkout_env():
     """The environment with this checkout's source first on PYTHONPATH, for

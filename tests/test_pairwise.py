@@ -46,6 +46,50 @@ class TestArrayPeakStream:
         assert mass.tolist() == [10.0]
         assert logp.tolist() == [-1.0]
 
+    @pytest.mark.parametrize(
+        "mass, logp",
+        [
+            ([1.0, 2.0, 3.0], [-0.1, -0.2]),
+            ([1.0], [-0.1, -0.2]),
+            ([[1.0, 2.0]], [[-0.1, -0.2]]),
+            (1.0, -0.1),
+        ],
+    )
+    def test_rejects_unequal_or_not_1d(self, mass, logp):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            ArrayPeakStream(mass, logp, LayerSchedule(2.0))
+
+    def test_top_k(self):
+        s = ArrayPeakStream([10.0, 20.0, 30.0], [-2.0, -1.0, -3.0], LayerSchedule(2.0))
+        mass, logp = s.top_k(2)
+        assert mass.tolist() == [20.0, 10.0] and logp.tolist() == [-1.0, -2.0]
+        assert s.emitted == 2 and s.layers_emitted == 1
+        # k beyond what remains: the rest, then nothing
+        mass, logp = s.top_k(10)
+        assert mass.tolist() == [30.0] and logp.tolist() == [-3.0]
+        assert s.emitted == 3
+        assert s.top_k(1)[0].size == 0 and s.emitted == 3
+
+    def test_until_cumulative(self):
+        logp = np.log([0.5, 0.25, 0.125, 0.0625])
+        s = ArrayPeakStream(np.arange(4.0), logp, LayerSchedule(2.0))
+        mass, lp, short = s.until_cumulative(0.7)
+        assert mass.tolist() == [0.0, 1.0] and not short
+        assert s.emitted == 2
+        # the rest weighs 0.1875, short of 0.5: everything left, short
+        mass, lp, short = s.until_cumulative(0.5)
+        assert mass.tolist() == [2.0, 3.0] and short
+        assert s.emitted == 4
+        mass, lp, short = s.until_cumulative(0.1)
+        assert mass.size == 0 and short and s.emitted == 4
+
+    def test_until_cumulative_unreachable(self):
+        # the peaks weigh e^-1 + e^-2 + e^-3 = 0.553 in all
+        s = stream([-1.0, -2.0, -3.0])
+        mass, logp, short = s.until_cumulative(0.9)
+        assert logp.tolist() == [-1.0, -2.0, -3.0] and short
+        assert s.emitted == 3 and s.layers_emitted == 1
+
 
 class TestSelectorSmall:
     def test_first_guarantee_needs_one_worst_corner(self):

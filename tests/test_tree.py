@@ -208,8 +208,9 @@ def equal_key_root(nx=4, ny=6):
 
 
 class TestOneShotRoot:
-    """A merge root selects once: one pop loop to a count or mass guarantee,
-    then one cut in its own buffer."""
+    """Every root selects once. A merge root runs one pop loop to a count or
+    mass guarantee, then makes one cut in its own buffer; a leaf root takes
+    a prefix of its exact order."""
 
     @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
     def test_top_k_equals_layered_stream(self, alpha):
@@ -219,13 +220,10 @@ class TestOneShotRoot:
             total = isotopologue_count(comp, table)
             for k in sorted({1, min(17, total), max(1, total // 3), total}):
                 root = build_tree(comp, table, alpha)
-                if not isinstance(root.stream, PairwiseSelector):
-                    continue
                 sel = select_top_k(root, k)
                 mass, logp = layered_prefix(build_tree(comp, table, alpha), k)
                 # the same products, summed the same way: exact equality
                 assert_same_multiset(sel, mass, logp)
-                assert sel.layers_pulled == 1
                 row = tree_stats(root)[0]
                 assert row["layers"] == 1
                 assert row["emitted"] == len(sel) == k
@@ -245,10 +243,8 @@ class TestOneShotRoot:
                 sel = select_until_cumulative(root, p)
                 assert len(sel) == want
                 assert not sel.truncated
-                if isinstance(root.stream, PairwiseSelector):
-                    assert sel.layers_pulled == 1
-                    row = tree_stats(root)[0]
-                    assert row["layers"] == 1 and row["emitted"] == len(sel)
+                row = tree_stats(root)[0]
+                assert row["layers"] == 1 and row["emitted"] == len(sel)
 
     def test_all_equal_keys(self):
         key = -np.log(4) - np.log(6)
@@ -299,6 +295,89 @@ class TestOneShotRoot:
         sel = select_until_cumulative(root, 0.75)
         assert len(sel) == int(np.searchsorted(csum, 0.75)) + 1
         assert cuts[0] is None and cuts[-1] == len(sel)
+
+
+def leaf_root(formula):
+    root = build_tree(parse_formula(formula), load_default())
+    assert isinstance(root.stream, SubisotopologueGenerator)
+    return root
+
+
+class TestLeafRoot:
+    """A leaf root's selection is a prefix of its exact order. The cuts below
+    fall inside the 256-tuple warm-up and inside a band."""
+
+    @pytest.mark.parametrize(
+        "formula, k",
+        [
+            ("Sn300", 100),
+            ("Sn300", 256),
+            ("Sn300", 3000),
+            ("Xe200", 40),
+            ("Xe200", 5000),
+            ("C800", 17),
+            ("C800", 500),
+        ],
+    )
+    def test_top_k_is_layered_prefix_in_order(self, formula, k):
+        root = leaf_root(formula)
+        sel = select_top_k(root, k)
+        stream = leaf_root(formula).stream
+        mass, logp = [], []
+        while len(logp) < k:
+            m, lp = stream.next_layer()
+            mass.extend(m.tolist())
+            logp.extend(lp.tolist())
+        assert np.array_equal(sel.mass, mass[:k])
+        assert np.array_equal(sel.logp, logp[:k])
+        row = tree_stats(root)[0]
+        assert row["layers"] == 1 and row["emitted"] == len(sel) == k
+
+    @pytest.mark.parametrize(
+        "formula, p",
+        [
+            ("Sn300", 1e-6),
+            ("Sn300", 1e-4),
+            ("Xe200", 1e-4),
+            ("Xe200", 2e-3),
+            ("C800", 0.5),
+            ("C800", 0.9999),
+        ],
+    )
+    def test_coverage_count_is_one_cumsum(self, formula, p):
+        stream = leaf_root(formula).stream
+        logp = []
+        total = 0.0
+        # read past p by a margin, so rounding cannot cut the reference short
+        while total < p * (1 + 1e-9):
+            _, lp = stream.next_tuple()
+            logp.append(lp)
+            total += np.exp(lp)
+        want = int(np.searchsorted(np.cumsum(np.exp(logp)), p)) + 1
+        root = leaf_root(formula)
+        sel = select_until_cumulative(root, p)
+        assert len(sel) == want
+        assert np.array_equal(sel.logp, logp[:want])
+        assert not sel.truncated
+        row = tree_stats(root)[0]
+        assert row["layers"] == 1 and row["emitted"] == len(sel)
+
+    def test_band_cut_leaves_the_rest_unemitted(self):
+        # Xe200 at p = 2e-3 cuts inside a band, after 2,342 peaks
+        root = leaf_root("Xe200")
+        sel = select_until_cumulative(root, 2e-3)
+        _, rest = root.stream.top_k(50)
+        _, logp = leaf_root("Xe200").stream.top_k(len(sel) + 50)
+        assert np.array_equal(rest, logp[len(sel) :])
+
+    @pytest.mark.parametrize("formula, total", [("C100", 101), ("C800", 801)])
+    def test_full_coverage_returns_the_universe(self, formula, total):
+        # C100 runs out inside the warm-up, C800 inside a band
+        root = leaf_root(formula)
+        sel = select_until_cumulative(root, 1.0)
+        assert len(sel) == total and not sel.truncated
+        assert np.all(np.diff(sel.logp) <= 0)
+        assert tree_stats(root)[0]["emitted"] == total
 
 
 class TestLaziness:
