@@ -2,13 +2,15 @@
 The alpha knob: batching versus exactness of order
 ==================================================
 
-Selection works layer by layer, and alpha controls how fast the layers
-grow. With alpha = 1 every layer holds one peak, so the output arrives in
-exactly sorted order but every peak pays the full bookkeeping cost. With
-alpha > 1 the selector moves peaks in geometrically growing batches, which
-amortizes the heap traffic away; the price is that the final top-k set must
-be trimmed from a slightly larger candidate pool, and the output is only
-layer-ordered rather than sorted.
+Selection below the root works layer by layer, and alpha controls how fast
+the layers grow. With alpha = 1 every layer holds one peak, so the output
+arrives in exactly sorted order, but every peak pays the full bookkeeping
+cost at each merge node below the root. The root itself selects once on its
+grid of layer products at any alpha, and at alpha = 1 it sorts what it
+returns. With alpha > 1 the nodes below the root move peaks in
+geometrically growing batches, which amortizes the heap traffic away; the
+price is that the final top-k set must be trimmed from a slightly larger
+candidate pool, and the output is only layer-ordered rather than sorted.
 
 The result sets are identical either way; only the running time changes.
 """

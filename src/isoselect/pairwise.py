@@ -6,53 +6,37 @@ adds log probabilities, so selecting the most probable combinations is rank
 selection on the Cartesian sum of the two key sequences.
 
 The unit of work is a layer product: the |u| x |v| grid of sums between X
-layer u and Y layer v. Products pass through a single max-heap twice. First
-they are keyed by their best corner (sum of the two layer maxima); when that
-is popped, all sums in the product are materialized into a candidate buffer
-(in batches, see below) and the product re-enters keyed by its worst corner
-(sum of the layer minima). Popping a worst corner credits the product to two
-guarantees: its size to a count (``guaranteed``) and its probability mass,
-the product of its two child layers' masses, to a mass
-(``guaranteed_mass``), and its key becomes the cut key. Keys pop in
+layer u and Y layer v. Its best corner is the sum of the two layer maxima,
+its worst corner the sum of the two minima. The selector serves two kinds
+of caller, which walk the grid of products in two ways.
+
+A parent node reads it layer by layer, through
+:meth:`PairwiseSelector.next_layer`; only this path uses the heap. Products
+pass through a single max-heap twice. First they are keyed by their best
+corner; when that is popped, all sums in the product are materialized into
+a candidate buffer (in batches, see below) and the product re-enters keyed
+by its worst corner. Popping a worst corner credits the product's size to
+a count (``guaranteed``), and its key becomes the cut key. Keys pop in
 nonincreasing order, so every credited sum is at least the cut key, and
 every sum not yet materialized is at most it: when the loop returns, the
-buffer provably holds the ``guaranteed`` best sums, and these carry at least
-``guaranteed_mass`` of probability.
+buffer provably holds the ``guaranteed`` best sums. ``next_layer`` loops
+until the guarantee covers ``emitted`` plus the layer size, then
+rank-selects the layer out of the buffer (``loh.layer_order``). The heap
+and buffer persist across calls, so successive layers never repeat work.
+At alpha = 1 every product is 1 x 1, its two corners share one key, and
+unless sums tie the buffer holds only the peak being emitted.
 
-There is one pop loop, and it stops when either guarantee reaches its
-target. A worst corner that would be the next pop anyway (it heads the heap
-and outranks both parked bounds below) is credited at once, without the heap
-round trip; the pop order is the same.
-
-The loop touches keys only. It reads each child layer's max, min, size and
-mass from lists of Python numbers, and the two parked bounds from fields
-that change only where parking does. A popped best corner is recorded as
-(u, v); its sums are written to the buffer at the next flush, in pop order
-and each product row-major, so the buffer holds what writing each product
-as it pops would hold. A flush comes when the pending sums reach
-``_BATCH``, before a product that large, and when the loop returns; a flush
-of more than ``_FEW`` products is one ragged gather over the pending layers
-instead of one ``np.add.outer`` per product.
-
-The selector serves two kinds of caller.
-
-* A parent node reads it layer by layer: :meth:`PairwiseSelector.next_layer`
-  loops until the count guarantee covers ``emitted`` plus the layer size,
-  then rank-selects the layer out of the buffer (``loh.layer_order``). The
-  heap and buffer persist across calls, so successive layers never repeat
-  work and pop exactly the products a one-shot selection of the cumulative
-  count would pop. At alpha = 1 every product is 1 x 1, its two corners
-  share one key, and unless sums tie the buffer holds only the peak being
-  emitted.
-* The tree root selects once. :meth:`PairwiseSelector.top_k` loops until
-  the count guarantee covers k, :meth:`PairwiseSelector.until_cumulative`
-  until the mass guarantee covers p, and each then makes one cut in the
-  buffer (:meth:`_PeakBuffer.cut`): every entry at or above the cut key is
-  a top peak, and the fewest best of those that reach k or p move to the
-  front. Should the buffer's own sum fall short of p, as a guarantee summed
-  in another order can round up past it, the loop resumes. Nothing above
-  the root consumes layers, so this is the X+Y step of the paper done
-  once, and it ends the stream.
+A worst corner that would be the next pop anyway (it heads the heap and
+outranks both parked bounds below) is credited at once, without the heap
+round trip; the pop order is the same. The loop touches keys only. It
+reads each child layer's max, min and size from lists of Python numbers,
+and the two parked bounds from fields that change only where parking does.
+A popped best corner is recorded as (u, v); its sums are written to the
+buffer at the next flush, in pop order and each product row-major, so the
+buffer holds what writing each product as it pops would hold. A flush comes
+when the pending sums reach ``_BATCH``, before a product that large, and
+when the loop returns; a flush of more than ``_FEW`` products is one ragged
+gather over the pending layers instead of one ``np.add.outer`` per product.
 
 Grid coverage is duplicate-free by construction: with layers numbered from
 0, product (u, v) is pushed by (u, v-1), or by (u-1, 0) when v == 0, or is
@@ -64,6 +48,42 @@ the layer ordering (the missing layer's max cannot exceed the last existing
 layer's min). A parked product is activated, pulling the child layer, only
 when its bound reaches the top of the heap, so a child is extended only when
 the selection actually needs deeper values from that side.
+
+The root
+--------
+
+The tree root selects once, by :meth:`PairwiseSelector.top_k` (a count k)
+or :meth:`PairwiseSelector.until_cumulative` (a probability p, each
+product weighing the product of its two child layers' masses). Nothing
+above it consumes layers, so this is the X+Y step of the paper done once;
+it ends the stream, and a selector that has emitted a layer refuses it. The
+root does the heap's work without the heap, in numpy over the grid:
+
+1. **Pulls.** The heap pulls X once its pop level falls to
+   ``bx = xmin[last] + ymax[0]``, and Y at ``by = xmax[0] + ymin[last]``,
+   the larger first. By then it has credited exactly the products whose
+   worst corner lies above both bounds. So the root pulls, the larger
+   bound first, until those products reach the target. It checks this by
+   one ``searchsorted`` per pull over the axis with fewer layers, into
+   numpy mirrors of the other axis's layer minima and running sizes and
+   masses (:meth:`_Layers.mirror`).
+2. **Cut key.** In descending key order, the credited products first reach
+   the target at one worst corner: the key at which the heap would stop.
+3. **Fill.** The buffer gets every product whose best corner is at least
+   the cut key, which is what the heap would have materialized. A row of
+   the axis with fewer layers pairs with a prefix of the other axis's
+   layers, so each row is one ``np.add.outer`` into a buffer allocated once,
+   at exactly the total.
+4. **Cut.** :meth:`_PeakBuffer.cut` moves to the front the fewest best
+   entries at or above the cut key that reach k or p. Should the buffer's
+   own sum fall short of p, as a guarantee summed in another order can
+   round up past it, the root pulls on to a higher target. At alpha = 1
+   the kept entries are then sorted, since one-peak layers promise fully
+   sorted output.
+
+The root's pulls and materialized sums are the heap's, product for product,
+unless keys tie; with ties it may materialize products whose best corner
+equals the cut key, which the heap would have left.
 """
 
 from __future__ import annotations
@@ -86,14 +106,17 @@ _BINS = 1 << 12  # logp bins of the cut
 class _PeakBuffer:
     """Growable (mass, logp) arrays, a selector's candidate store.
     ``take_top`` removes a layer by rank selection; ``cut``, a root's one cut.
+    A root fills a buffer made at its exact size, which never grows.
 
     ``take_top(n)`` returns the whole buffer without a selection; that is
     every call of an alpha = 1 selector unless sums tie.
     """
 
-    def __init__(self):
-        self.mass = np.empty(1024)
-        self.logp = np.empty(1024)
+    def __init__(self, capacity: int = 1024):
+        # one allocation for both: a large root buffer reaches the
+        # allocator's mmap threshold at half the entries, so freeing it
+        # returns the memory to the system
+        self.mass, self.logp = np.empty((2, capacity))
         self.n = 0
 
     def _reserve(self, need: int):
@@ -247,10 +270,20 @@ def _joined(arrays: list[np.ndarray], index) -> np.ndarray:
 
 class _Layers:
     """One child's pulled layers as parallel lists, in pull order: the
-    arrays, and each layer's max, min, size and probability mass as Python
-    numbers for the pop loop."""
+    arrays, and each layer's max, min and size as Python numbers for the pop
+    loop.
 
-    __slots__ = ("mass", "logp", "lmax", "lmin", "size", "prob")
+    A merge root counts over the layers in numpy instead. :meth:`mirror`
+    keeps running numpy copies of each layer's negated min, size and
+    probability mass, and of the sizes and masses summed over the layers
+    before it, extending them by the layers pulled since its last call;
+    the arrays grow by doubling. Nodes below the root never call it.
+    """
+
+    __slots__ = (
+        "mass", "logp", "lmax", "lmin", "size",
+        "nmin", "sizes", "probs", "csize", "cprob", "mirrored",
+    )
 
     def __init__(self):
         self.mass: list[np.ndarray] = []
@@ -258,22 +291,59 @@ class _Layers:
         self.lmax: list[float] = []
         self.lmin: list[float] = []
         self.size: list[int] = []
-        self.prob: list[float] = []
+        # csize[i] and cprob[i] sum the layers before layer i
+        self.nmin, self.sizes, self.probs, self.csize, self.cprob = np.zeros((5, 1))
+        self.mirrored = 0
 
     def add(self, mass: np.ndarray, logp: np.ndarray):
         if logp.size == 1:
             # alpha = 1 pulls: no numpy reductions for a one-peak layer
             lmax = lmin = float(logp[0])
-            prob = math.exp(lmax)
         else:
             lmax, lmin = float(logp.max()), float(logp.min())
-            prob = float(np.exp(logp).sum())
         self.mass.append(np.ascontiguousarray(mass, dtype=np.float64))
         self.logp.append(np.ascontiguousarray(logp, dtype=np.float64))
         self.lmax.append(lmax)
         self.lmin.append(lmin)
         self.size.append(logp.size)
-        self.prob.append(prob)
+
+    def mirror(self) -> int:
+        """Extend the numpy mirrors to every pulled layer; the layer count."""
+        n, done = len(self.size), self.mirrored
+        if done == n:
+            return n
+        if n >= self.csize.size:
+            cap = 2 * self.csize.size
+            while cap <= n:
+                cap *= 2
+            for name in ("nmin", "sizes", "probs", "csize", "cprob"):
+                old = getattr(self, name)
+                grown = np.zeros(cap)
+                grown[: old.size] = old
+                setattr(self, name, grown)
+        nmin, sizes, probs = self.nmin, self.sizes, self.probs
+        csize, cprob = self.csize, self.cprob
+        for i in range(done, n):
+            size = self.size[i]
+            if size == 1:
+                prob = math.exp(self.lmax[i])
+            else:
+                prob = float(np.exp(self.logp[i]).sum())
+            nmin[i] = -self.lmin[i]
+            sizes[i] = size
+            probs[i] = prob
+            csize[i + 1] = csize[i] + size
+            cprob[i + 1] = cprob[i] + prob
+        self.mirrored = n
+        return n
+
+
+def _pairs(a: np.ndarray, b: np.ndarray, counts: np.ndarray):
+    """Row i paired with b's first counts[i] entries, all rows end to end:
+    the row and column indices and the sums ``a[row] + b[column]``."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, cols, a[rows] + b[cols]
 
 
 class PairwiseSelector:
@@ -301,7 +371,6 @@ class PairwiseSelector:
         self._y_bound = _NEG_INF
         self._buffer = _PeakBuffer()
         self.guaranteed = 0
-        self.guaranteed_mass = 0.0
         self.cut_key = math.inf
         self.emitted = 0
         self.layers_emitted = 0
@@ -355,25 +424,25 @@ class PairwiseSelector:
         key = self._x.lmax[u] + self._y.lmax[v]
         heapq.heappush(self._heap, (-key, u, v, _BEST))
 
-    def _fill(self, count, mass=math.inf):
-        """Pop products until ``guaranteed`` reaches count or
-        ``guaranteed_mass`` reaches mass, or every product is credited; a
-        popped best corner waits in ``pending`` for ``_write``."""
+    def _fill(self, count):
+        """Pop products until ``guaranteed`` reaches count or every product
+        is credited; a popped best corner waits in ``pending`` for
+        ``_write``."""
         heap, push, pop = self._heap, heapq.heappush, heapq.heappop
         batch = _BATCH
         X, Y = self._x, self._y
-        xmax, xmin, xsize, xprob = X.lmax, X.lmin, X.size, X.prob
-        ymax, ymin, ysize, yprob = Y.lmax, Y.lmin, Y.size, Y.prob
+        xmax, xmin, xsize = X.lmax, X.lmin, X.size
+        ymax, ymin, ysize = Y.lmax, Y.lmin, Y.size
         nx, ny = len(xmax), len(ymax)
         bx, by = self._x_bound, self._y_bound
-        guaranteed, got_mass = self.guaranteed, self.guaranteed_mass
+        guaranteed = self.guaranteed
         cut_key = self.cut_key
         made = 0
         stored = self._stored
         stored_at_best = -1  # child peaks stored at the last best-corner pop
         pending: list[tuple[int, int]] = []
         pending_sums = 0
-        while guaranteed < count and got_mass < mass:
+        while guaranteed < count:
             # activate parked products that could outrank the heap top
             while True:
                 if heap:
@@ -428,11 +497,10 @@ class PairwiseSelector:
             else:
                 key = -neg_key
             guaranteed += xsize[u] * ysize[v]
-            got_mass += xprob[u] * yprob[v]
             cut_key = key
         if pending:
             self._write(pending, pending_sums)
-        self.guaranteed, self.guaranteed_mass = guaranteed, got_mass
+        self.guaranteed = guaranteed
         self.cut_key = cut_key
         self.materialized_total += made
         # buffer and stored peaks only grow inside one call, so the last
@@ -488,44 +556,136 @@ class PairwiseSelector:
         return mass, logp
 
     def top_k(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k most probable peaks not yet emitted, or all of them if fewer
-        remain. Ends the stream."""
-        return self._select(k, self.emitted + k, math.inf, by_mass=False)[:2]
+        """The k most probable peaks, or all of them if fewer exist, in
+        descending order at alpha = 1. Ends the stream; raises ValueError
+        once a layer has been emitted."""
+        return self._select(k, by_mass=False)[:2]
 
     def until_cumulative(self, p: float) -> tuple[np.ndarray, np.ndarray, bool]:
-        """The fewest most probable peaks not yet emitted whose probability
-        sums to at least p, and whether the peaks ran out short of p (then
-        all are returned). Ends the stream."""
-        return self._select(p, math.inf, p, by_mass=True)
+        """The fewest most probable peaks whose probability sums to at least
+        p, and whether the peaks ran out short of p (then all are returned);
+        in descending order at alpha = 1. Ends the stream; raises ValueError
+        once a layer has been emitted."""
+        return self._select(p, by_mass=True)
 
-    def _select(self, want, count, mass, by_mass):
-        """Pop until ``guaranteed`` reaches count or ``guaranteed_mass``
-        reaches mass, then cut the buffer at the cut key to the fewest
-        peaks weighing ``want``; pop on if they weigh less."""
-        buf = self._buffer
+    # -- one-shot selection at a root ----------------------------------------
+
+    def _select(self, want, by_mass):
+        """Find the cut key on the layer grid, materialize every product that
+        can reach it into one buffer, and cut that to the fewest peaks
+        weighing ``want``; pull on if they weigh less."""
+        if self.layers_emitted:
+            raise ValueError("a merge node selects once, before emitting layers")
+        target = want
         while True:
-            self._fill(count, mass)
-            exhausted = self.guaranteed < count and self.guaranteed_mass < mass
+            key, credited, exhausted = self._grid_key(target, by_mass)
+            buf = None  # the old buffer goes before the new one is filled
+            buf = self._grid_fill(key)
             # the seed product's key bounds every sum from above
             top = self._x.lmax[0] + self._y.lmax[0] if buf.n else 0.0
-            kept, total = buf.cut(want, self.cut_key, top, by_mass)
+            kept, total = buf.cut(want, key, top, by_mass)
             if kept is not None or exhausted:
-                short = kept is None
-                return (*self._end(buf.n if short else kept), short)
-            # the summed mass guarantee rounded up past what the buffer holds
-            gm = self.guaranteed_mass
-            mass = max(gm + (want - total), math.nextafter(gm, math.inf))
-
-    def _end(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The buffer's first n peaks, counted as one emitted layer; ends the
-        stream."""
-        buf = self._buffer
+                break
+            # the summed guarantee rounded up past what the buffer holds
+            target = max(credited + (want - total), math.nextafter(credited, math.inf))
+        short = kept is None
+        n = buf.n if short else kept
+        mass, logp = buf.mass[:n], buf.logp[:n]
+        if self.schedule.alpha == 1.0:
+            # one-peak layers promise fully sorted output
+            order = np.argsort(logp)[::-1]
+            mass[:] = mass[order]
+            logp[:] = logp[order]
         self.emitted += n
         self.layers_emitted += 1
-        self._buffer = _PeakBuffer()
         self._heap.clear()
-        self._x_spine_wait = False
-        self._x_bound = _NEG_INF
-        self._y_wait.clear()
-        self._y_bound = _NEG_INF
-        return buf.mass[:n], buf.logp[:n]
+        return mass, logp, short
+
+    def _grid_key(self, target, by_mass) -> tuple[float, float, bool]:
+        """Pull children as the pop loop would, until the products whose
+        worst corner lies above both pull bounds weigh ``target``. Returns
+        the cut key, the key at which those products, in descending key
+        order, first weigh ``target``; the weight credited down to it; and
+        whether every product is credited short of ``target`` (then the key
+        is the least worst corner)."""
+        X, Y = self._x, self._y
+        while True:
+            nx, ny = X.mirror(), Y.mirror()
+            if not (nx and ny):
+                return math.inf, 0.0, True
+            bx = _NEG_INF if self.x_done else X.lmin[-1] + Y.lmax[0]
+            by = _NEG_INF if self.y_done else X.lmax[0] + Y.lmin[-1]
+            bound = max(bx, by)
+            # count over the axis with fewer layers: row u of S credits a
+            # prefix of L, the layers whose min exceeds bound - min(u), here
+            # with a margin so that rounding can only overcount
+            S, L = (X, Y) if nx <= ny else (Y, X)
+            ns, nl = min(nx, ny), max(nx, ny)
+            if bound == _NEG_INF:
+                prefix, weight = np.full(ns, nl), math.inf
+            elif (
+                X.cprob[nx] * Y.cprob[ny] * (1.0 + 1e-9) < target
+                if by_mass
+                else X.csize[nx] * Y.csize[ny] < target
+            ):
+                weight = 0.0  # not even every pulled product reaches it
+            else:
+                margin = 1e-12 * (1.0 + abs(bound) + abs(S.lmin[0]) + abs(S.lmin[-1]))
+                prefix = np.searchsorted(L.nmin[:nl], (margin - bound) - S.nmin[:ns])
+                if by_mass:
+                    # summed in another order than below: allow for rounding
+                    weight = S.probs[:ns] @ L.cprob[prefix] * (1.0 + 1e-9)
+                else:
+                    weight = S.sizes[:ns] @ L.csize[prefix]
+            if weight >= target:
+                rows, cols, keys = _pairs(-S.nmin[:ns], -L.nmin[:nl], prefix)
+                above = keys > bound
+                rows, cols, keys = rows[above], cols[above], keys[above]
+                if by_mass:
+                    w = S.probs[rows] * L.probs[cols]
+                else:
+                    w = S.sizes[rows] * L.sizes[cols]
+                order = np.argsort(-keys, kind="stable")
+                credited = np.cumsum(w[order])
+                at = int(np.searchsorted(credited, target))
+                if at < credited.size:
+                    return float(keys[order[at]]), float(credited[at]), False
+                if bound == _NEG_INF:
+                    return float(keys[order[-1]]), float(credited[-1]), True
+            # the heap's pull: the child whose bound is larger, X on ties
+            if bx >= by:
+                self._pull_x()
+            else:
+                self._pull_y()
+
+    def _grid_fill(self, key) -> _PeakBuffer:
+        """A buffer of exactly the sums of every product whose best corner
+        is at least ``key``. Each row of the axis with fewer layers pairs
+        with a prefix of the other axis's layers, so a row is one
+        ``np.add.outer`` into the buffer."""
+        X, Y = self._x, self._y
+        nx, ny = len(X.size), len(Y.size)
+        S, L = (X, Y) if nx <= ny else (Y, X)
+        if not (nx and ny):
+            return _PeakBuffer(0)
+        smax, lmax = np.array(S.lmax), np.array(L.lmax)
+        margin = 1e-12 * (1.0 + abs(key) + abs(smax[0]) + abs(smax[-1]))
+        prefix = np.searchsorted(-lmax, (smax - key) + margin, side="right")
+        rows, _, keys = _pairs(smax, lmax, prefix)
+        prefix = np.bincount(rows[keys >= key], minlength=smax.size)
+        width = L.csize[prefix].astype(np.intp)  # peaks of L per row
+        total = int(np.dot(S.sizes[: smax.size].astype(np.intp), width))
+        buf = _PeakBuffer(total)
+        buf.n = total
+        joined = range(int(prefix[0]))
+        lm, ll = _joined(L.mass, joined), _joined(L.logp, joined)
+        at = 0
+        for u in range(int(np.count_nonzero(prefix))):
+            a, b = S.size[u], int(width[u])
+            end = at + a * b
+            np.add.outer(S.mass[u], lm[:b], out=buf.mass[at:end].reshape(a, b))
+            np.add.outer(S.logp[u], ll[:b], out=buf.logp[at:end].reshape(a, b))
+            at = end
+        self.materialized_total = total
+        self.peak_resident = max(self.peak_resident, total + self._stored)
+        return buf

@@ -13,13 +13,15 @@ Everything below the root is pulled lazily, so selecting k peaks from a large
 molecule touches only a small, k-proportional slice of each element's
 subisotopologue universe.
 
-Only the nodes below the root run the online layered protocol. Every root
-selects once, by its stream's ``top_k`` or ``until_cumulative``. A merge
-root's pop loop runs until the count guarantee covers k, or the mass
-guarantee covers p, and then it cuts its own candidate buffer once (see
-``pairwise``). A root that is a leaf (a single-element formula, or the CLI's
-``--oracle`` enumeration) emits its peaks in exact order, so its top k is a
-prefix and its coverage count comes from one running cumsum.
+Only the nodes below the root run the online layered protocol, through a
+heap of layer products. Every root selects once, by its stream's ``top_k``
+or ``until_cumulative``. A merge root has no heap: it pulls its children
+as the heap would, finds the cut key for k or p on the grid of child-layer
+products in numpy, fills one buffer of exactly the products that can reach
+the key, and cuts it once (see ``pairwise``). A root that is a leaf (a
+single-element formula, or the CLI's ``--oracle`` enumeration) emits its
+peaks in exact order, so its top k is a prefix and its coverage count comes
+from one running cumsum. At alpha = 1 every root returns its peaks sorted.
 """
 
 from __future__ import annotations
@@ -161,9 +163,12 @@ def isotopologues(
 def tree_stats(root: TreeNode) -> list[dict]:
     """Per-node work counters, root first: layer pulls, peaks emitted, for
     element leaves the tuples generated (a leaf over a fixed peak list
-    reports its emitted count), and for merge nodes the materialized total
-    and child pull counts. A root that selected once reports one layer,
-    holding every peak it returned."""
+    reports its emitted count), and for merge nodes the materialized total,
+    child pull counts and ``resident``, the most peaks the node held at
+    once. Below the root that is its candidate buffer and stored child
+    peaks at their largest; a merge root's is its one buffer, of exactly
+    the materialized total, plus every child peak it pulled. A root that
+    selected once reports one layer, holding every peak it returned."""
     rows: list[dict] = []
 
     def visit(node: TreeNode, depth: int):

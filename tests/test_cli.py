@@ -49,6 +49,15 @@ def test_sorted_flag(capsys):
     assert logps == sorted(logps, reverse=True)
 
 
+@pytest.mark.parametrize("select", [["--k", "500"], ["--p", "0.99999"]])
+def test_alpha_one_is_sorted_without_the_flag(capsys, select):
+    assert run(["--formula", "C60H98N16O18S", *select, "--alpha", "1.0"]) == 0
+    _, rows = parse_output(capsys.readouterr().out)
+    logps = [r[1] for r in rows]
+    assert len(logps) > 100
+    assert logps == sorted(logps, reverse=True)
+
+
 def test_p_mode(capsys):
     assert run(["--formula", "C6H12O6", "--p", "0.5"]) == 0
     _, rows = parse_output(capsys.readouterr().out)

@@ -29,6 +29,36 @@ def all_sums(x, y):
     ]
 
 
+def paired(rng, ties, alpha, nx=None, ny=None):
+    """Random X and Y keys with pair-id masses (100 * i for X, j for Y), their
+    sums and a factory of fresh selectors over them."""
+    if nx is None:
+        nx, ny = (int(n) for n in rng.integers(2, 25, size=2))
+    x = -rng.exponential(rng.uniform(0.1, 3.0), size=nx)
+    y = -rng.exponential(rng.uniform(0.1, 3.0), size=ny)
+    if ties:
+        x, y = np.round(x), np.round(y)
+
+    def fresh():
+        schedule = LayerSchedule(alpha)
+        return PairwiseSelector(
+            ArrayPeakStream(np.arange(nx) * 100.0, x, schedule),
+            ArrayPeakStream(np.arange(ny) * 1.0, y, schedule),
+            schedule,
+        )
+
+    return x, y, np.add.outer(x, y), fresh
+
+
+def made_products(ids, shape):
+    """Which (i, j) sums the pair-id masses ``ids`` hold, each at most once."""
+    ids = ids.astype(int)
+    made = np.zeros(shape, dtype=bool)
+    made[ids // 100, ids % 100] = True
+    assert np.count_nonzero(made) == ids.size
+    return made
+
+
 class TestArrayPeakStream:
     def test_layered_emission(self):
         s = stream([1.0, 3.0, 2.0, 0.0])
@@ -152,36 +182,48 @@ class TestSelectorRandomized:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
     def test_guarantees_hold_wherever_the_loop_stops(self, alpha):
-        # the premise of a one-shot cut: when the pop loop stops, every sum
+        # the premise of layer emission: when the pop loop stops, every sum
         # not yet materialized is at most the cut key, and the buffered sums
-        # at or above it number at least `guaranteed` and carry at least
-        # `guaranteed_mass`; masses are pair ids, to tell which sums exist
+        # at or above it number at least `guaranteed`; masses are pair ids,
+        # to tell which sums exist
         rng = np.random.default_rng(int(alpha * 10))
         for i in range(12):
-            nx, ny = (int(n) for n in rng.integers(2, 25, size=2))
-            x = -rng.exponential(rng.uniform(0.1, 3.0), size=nx)
-            y = -rng.exponential(rng.uniform(0.1, 3.0), size=ny)
-            if i % 3 == 0:  # exact ties
-                x, y = np.round(x), np.round(y)
-            sums = np.add.outer(x, y)
-            schedule = LayerSchedule(alpha)
-            sel = PairwiseSelector(
-                ArrayPeakStream(np.arange(nx) * 100.0, x, schedule),
-                ArrayPeakStream(np.arange(ny) * 1.0, y, schedule),
-                schedule,
-            )
-            for count in range(1, nx * ny + 1):
+            x, y, sums, fresh = paired(rng, ties=i % 3 == 0, alpha=alpha)
+            sel = fresh()
+            for count in range(1, sums.size + 1):
                 sel._fill(count)
                 buf = sel._buffer
-                ids = buf.mass[: buf.n].astype(int)
-                made = np.zeros((nx, ny), dtype=bool)
-                made[ids // 100, ids % 100] = True
+                made = made_products(buf.mass[: buf.n], sums.shape)
                 assert sel.guaranteed >= count
                 assert np.all(sums[~made] <= sel.cut_key)
                 top = buf.logp[: buf.n] >= sel.cut_key
                 assert np.count_nonzero(top) >= sel.guaranteed
-                mass = np.exp(buf.logp[: buf.n][top]).sum()
-                assert mass >= sel.guaranteed_mass * (1 - 1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
+    def test_grid_root_guarantees_hold_at_every_target(self, alpha):
+        # the premise of a root's one cut: at the grid root's cut key, every
+        # sum not materialized is at most the key, and the materialized sums
+        # at or above it weigh at least what was credited, by count or mass
+        rng = np.random.default_rng(int(alpha * 10) + 1)
+        for i in range(12):
+            x, y, sums, fresh = paired(rng, ties=i % 3 == 0, alpha=alpha)
+            total = np.exp(sums).sum()
+            for by_mass, targets in (
+                (False, range(1, sums.size + 2)),
+                (True, total * np.linspace(0.02, 1.02, 40)),
+            ):
+                sel = fresh()
+                for target in targets:
+                    key, credited, exhausted = sel._grid_key(target, by_mass)
+                    buf = sel._grid_fill(key)
+                    assert buf.n == buf.mass.size == sel.materialized_total
+                    made = made_products(buf.mass, sums.shape)
+                    assert np.all(sums[~made] <= key)
+                    assert credited >= target or exhausted
+                    assert not exhausted or made.all()
+                    top = buf.logp[buf.logp >= key]
+                    weight = np.exp(top).sum() if by_mass else top.size
+                    assert weight >= credited * (1 - 1e-12)
 
     def test_layers_are_descending_blocks(self):
         rng = np.random.default_rng(9)
@@ -429,15 +471,112 @@ class TestLaziness:
         sel.next_layer()
         assert sel.peak_resident > 0
 
-    @pytest.mark.parametrize("alpha, seed, resident", [(1.05, 1, 156), (2.0, 0, 895)])
-    def test_resident_peak_is_read_at_the_last_best_corner_pop(
-        self, alpha, seed, resident
-    ):
-        # values recorded when every best-corner pop updated the count; here
-        # a child layer pulled after the last such pop must not raise it
+    @pytest.mark.parametrize("alpha, seed", [(1.05, 1), (2.0, 0)])
+    def test_root_resident_is_its_buffer_and_stored_child_peaks(self, alpha, seed):
+        # a merge root holds its one buffer, of the products the pop loop
+        # would materialize, and every child peak it pulled
         rng = np.random.default_rng(seed)
         x = -rng.exponential(1.0, size=int(rng.integers(5, 40)))
         y = -rng.exponential(1.0, size=int(rng.integers(5, 40)))
-        sel = PairwiseSelector(stream(x, alpha), stream(y, alpha), LayerSchedule(alpha))
-        sel.top_k(x.size * y.size // 4)
-        assert sel.peak_resident == resident
+        k = x.size * y.size // 4
+
+        def fresh():
+            return PairwiseSelector(
+                stream(x, alpha), stream(y, alpha), LayerSchedule(alpha)
+            )
+
+        heap = fresh()
+        heap._fill(k)
+        sel = fresh()
+        sel.top_k(k)
+        stored = sel.x.emitted + sel.y.emitted
+        assert sel.peak_resident == heap.materialized_total + stored
+        assert heap.materialized_total < sel.peak_resident < x.size * y.size
+
+
+class TestGridRoot:
+    """A merge root selects on the grid of child-layer products: it must
+    pull and materialize exactly what the heap pop loop would, into one
+    buffer of exactly that size."""
+
+    SHAPES = [(1, 40), (40, 1), (1, 1), (0, 12), (12, 0), (23, 17), (60, 9), (5, 70)]
+
+    @staticmethod
+    def top_k_recording(sel, k, monkeypatch):
+        """``sel.top_k(k)`` and the capacity of every buffer it made."""
+        capacities = []
+
+        class Recording(_PeakBuffer):
+            def __init__(self, capacity=1024):
+                capacities.append(capacity)
+                super().__init__(capacity)
+
+        with monkeypatch.context() as m:
+            m.setattr(pairwise, "_PeakBuffer", Recording)
+            mass, logp = sel.top_k(k)
+        return mass, logp, capacities
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_does_the_heaps_work(self, alpha, monkeypatch):
+        rng = np.random.default_rng(int(alpha * 1000))
+        drawn = [tuple(int(n) for n in rng.integers(1, 80, 2)) for _ in range(6)]
+        shapes = self.SHAPES + drawn
+        for nx, ny in shapes:
+            x, y, sums, fresh = paired(rng, ties=False, alpha=alpha, nx=nx, ny=ny)
+            ranked = np.sort(sums.ravel())[::-1]
+            universe = sums.size
+            for k in sorted({1, max(1, universe // 3), max(1, universe), universe + 5}):
+                heap = fresh()
+                heap._fill(k)
+                sel = fresh()
+                mass, logp, capacities = self.top_k_recording(sel, k, monkeypatch)
+                assert (sel.x_pulls, sel.y_pulls) == (heap.x_pulls, heap.y_pulls)
+                assert sel.materialized_total == heap.materialized_total
+                assert capacities == [sel.materialized_total]
+                assert np.array_equal(np.sort(logp)[::-1], ranked[:k])
+                made_products(mass, sums.shape)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_ties_select_a_top_set(self, alpha, monkeypatch):
+        rng = np.random.default_rng(int(alpha * 1000) + 1)
+        for nx, ny in self.SHAPES:
+            x, y, sums, fresh = paired(rng, ties=True, alpha=alpha, nx=nx, ny=ny)
+            ranked = np.sort(sums.ravel())[::-1]
+            for k in sorted({1, max(1, sums.size // 2), sums.size + 1}):
+                sel = fresh()
+                mass, logp, capacities = self.top_k_recording(sel, k, monkeypatch)
+                assert np.array_equal(np.sort(logp)[::-1], ranked[:k])
+                made = made_products(mass, sums.shape)
+                assert np.array_equal(np.sort(sums[made]), np.sort(logp))
+                assert capacities == [sel.materialized_total]
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_coverage_is_the_minimal_prefix(self, alpha):
+        rng = np.random.default_rng(int(alpha * 1000) + 2)
+        for nx, ny in self.SHAPES:
+            x, y, sums, fresh = paired(rng, ties=False, alpha=alpha, nx=nx, ny=ny)
+            ranked = np.sort(sums.ravel())[::-1]
+            csum = np.cumsum(np.exp(ranked))
+            total = csum[-1] if csum.size else 0.0
+            # an empty universe has no valid p but one it cannot reach
+            for p in [f * total for f in (0.1, 0.5, 0.97) if total] + [2.0]:
+                mass, logp, short = fresh().until_cumulative(p)
+                want = min(int(np.searchsorted(csum, p)) + 1, ranked.size)
+                assert short == (p > total)
+                assert np.array_equal(np.sort(logp)[::-1], ranked[:want])
+                made_products(mass, sums.shape)
+
+    def test_selects_once_before_any_layer(self):
+        x, y, sums, fresh = paired(np.random.default_rng(3), ties=False, alpha=1.3)
+        sel = fresh()
+        sel.next_layer()
+        with pytest.raises(ValueError, match="selects once"):
+            sel.top_k(5)
+        with pytest.raises(ValueError, match="selects once"):
+            sel.until_cumulative(0.5)
+        sel = fresh()
+        assert sel.top_k(5)[0].size == 5
+        with pytest.raises(ValueError, match="selects once"):
+            sel.top_k(5)
+        # the stream has ended
+        assert sel.next_layer()[0].size == 0

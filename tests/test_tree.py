@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import logsumexp, random_molecule
+from isoselect import pairwise
 from isoselect.formula import Composition, parse_formula
 from isoselect.isotopes import UnknownElementError, load_default, parse_table
 from isoselect.loh import LayerSchedule
@@ -270,10 +271,10 @@ class TestOneShotRoot:
         assert_peaks_equal(sel, mass, logp)
         assert tree_stats(root)[0]["emitted"] == logp.size
 
-    def test_short_buffered_mass_resumes_popping(self):
+    def test_short_buffered_mass_resumes_pulling(self, monkeypatch):
         # a mass guarantee that runs ahead of the buffer's own sum, as one
-        # rounded up past p would: the first cut falls short, and the loop
-        # must pop on rather than return too little
+        # rounded up past p would: the first cut falls short, and the root
+        # must pull on rather than return too little
         rng = np.random.default_rng(53)
         comp, table = random_molecule(rng, max_total=20000)
         while len(comp) < 2:
@@ -282,19 +283,73 @@ class TestOneShotRoot:
         csum = np.cumsum(np.exp(np.sort(logp)[::-1]))
         root = build_tree(comp, table)
         stream = root.stream
-        stream.guaranteed_mass = 0.3
-        cuts = []
-        cut = stream._buffer.cut
+        grid_key = stream._grid_key
+        calls = []
 
-        def spy(*args):
-            out = cut(*args)
+        def ahead(target, by_mass):
+            # the first guarantee counts 0.3 more than its products weigh
+            lead = 0.3 if not calls else 0.0
+            calls.append(target)
+            key, credited, exhausted = grid_key(target - lead, by_mass)
+            return key, credited + lead, exhausted
+
+        stream._grid_key = ahead
+        cuts = []
+        cut = pairwise._PeakBuffer.cut
+
+        def spy(buf, *args):
+            out = cut(buf, *args)
             cuts.append(out[0])
             return out
 
-        stream._buffer.cut = spy
+        monkeypatch.setattr(pairwise._PeakBuffer, "cut", spy)
         sel = select_until_cumulative(root, 0.75)
         assert len(sel) == int(np.searchsorted(csum, 0.75)) + 1
         assert cuts[0] is None and cuts[-1] == len(sel)
+        assert len(calls) == len(cuts) >= 2 and calls[-1] > 0.75
+
+
+class TestAlphaOneOrder:
+    """``--alpha 1.0`` means fully sorted output: every root returns its
+    peaks in descending logp at alpha = 1, whether it is a merge or a leaf
+    and whether the universe runs out or not."""
+
+    @staticmethod
+    def assert_descending(sel):
+        assert np.all(np.diff(sel.logp) <= 0)
+
+    def test_merge_root(self):
+        rng = np.random.default_rng(59)
+        for _ in range(6):
+            comp, table = random_molecule(rng, max_total=20000)
+            while len(comp) < 2:
+                comp, table = random_molecule(rng, max_total=20000)
+            total = isotopologue_count(comp, table)
+            for k in sorted({1, max(1, total // 3), total}):
+                root = build_tree(comp, table, 1.0)
+                assert isinstance(root.stream, PairwiseSelector)
+                self.assert_descending(select_top_k(root, k))
+            with pytest.warns(UserWarning, match="fewer"):
+                sel = select_top_k(build_tree(comp, table, 1.0), total + 5)
+            assert sel.truncated and len(sel) == total
+            self.assert_descending(sel)
+            for p in (0.3, 0.9, 1.0):
+                sel = select_until_cumulative(build_tree(comp, table, 1.0), p)
+                self.assert_descending(sel)
+            # an unreachable p: every peak, short
+            root = build_tree(comp, table, 1.0)
+            mass, logp, short = root.stream.until_cumulative(2.0)
+            assert short and logp.size == total and np.all(np.diff(logp) <= 0)
+
+    @pytest.mark.parametrize(
+        "formula, most, p", [("Sn300", 3000, 1e-4), ("C800", 500, 0.5)]
+    )
+    def test_leaf_root(self, formula, most, p):
+        for k in (17, most):
+            root = build_tree(parse_formula(formula), load_default(), 1.0)
+            self.assert_descending(select_top_k(root, k))
+        root = build_tree(parse_formula(formula), load_default(), 1.0)
+        self.assert_descending(select_until_cumulative(root, p))
 
 
 def leaf_root(formula):
