@@ -1,8 +1,9 @@
 """Command line interface: formula in, peak table out.
 
 Exit codes: 0 success, 2 formula parse error, 3 unknown element or bad
-isotope table, 4 invalid parameters, 5 the ``--output`` file cannot be
-written. When several are wrong, the first in that order is reported.
+isotope table, 4 invalid parameters or a selection too large to hold in
+memory, 5 the ``--output`` file cannot be written. When several are wrong,
+the first in that order is reported.
 """
 
 from __future__ import annotations
@@ -122,6 +123,13 @@ def run(argv=None) -> int:
     except ValueError as exc:
         # bad k, p or alpha, or too many isotopologues for --oracle
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except MemoryError:
+        print(
+            "error: the selection needs more memory than can be allocated; "
+            "request fewer peaks",
+            file=sys.stderr,
+        )
         return EXIT_PARAMS
     elapsed = time.perf_counter() - start
 

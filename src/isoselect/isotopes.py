@@ -132,20 +132,16 @@ def parse_table(text: str) -> IsotopeTable:
             raise IsotopeTableError(
                 f"line {lineno}: non-numeric mass or abundance in {raw!r}"
             ) from None
-        if not (mass > 0 and math.isfinite(mass)):
-            raise IsotopeTableError(
-                f"line {lineno}: mass must be finite and > 0, got {mass}"
-            )
-        if not (0 < abundance <= 1):
-            raise IsotopeTableError(
-                f"line {lineno}: abundance must be in (0, 1], got {abundance}"
-            )
+        try:
+            isotope = Isotope(mass, abundance)
+        except IsotopeTableError as exc:
+            raise IsotopeTableError(f"line {lineno}: {exc}") from None
         if (symbol, mass) in seen:
             raise IsotopeTableError(
                 f"line {lineno}: duplicate isotope ({symbol}, {mass})"
             )
         seen.add((symbol, mass))
-        entries.setdefault(symbol, []).append(Isotope(mass, abundance))
+        entries.setdefault(symbol, []).append(isotope)
     return IsotopeTable(entries)
 
 

@@ -14,15 +14,15 @@ A parent node reads it layer by layer, through
 :meth:`PairwiseSelector.next_layer`; only this path uses the heap. Products
 pass through a single max-heap twice. First they are keyed by their best
 corner; when that is popped, all sums in the product are materialized into
-a candidate buffer (in batches, see below) and the product re-enters keyed
-by its worst corner. Popping a worst corner credits the product's size to
-a count (``guaranteed``), and its key becomes the cut key. Keys pop in
-nonincreasing order, so every credited sum is at least the cut key, and
-every sum not yet materialized is at most it: when the loop returns, the
-buffer provably holds the ``guaranteed`` best sums. ``next_layer`` loops
-until the guarantee covers ``emitted`` plus the layer size, then
-rank-selects the layer out of the buffer (``loh.layer_order``). The heap
-and buffer persist across calls, so successive layers never repeat work.
+a candidate buffer (see below) and the product re-enters keyed by its worst
+corner. Popping a worst corner credits the product's size to a count
+(``guaranteed``). Keys pop in nonincreasing order, so every credited sum is
+at least the last credited key, and every sum not yet materialized is at
+most it: when the loop returns, the buffer provably holds the
+``guaranteed`` best sums. ``next_layer`` loops until the guarantee covers
+``emitted`` plus the layer size, then rank-selects the layer out of the
+buffer (``loh.layer_order``). The heap and buffer persist across calls, so
+successive layers never repeat work.
 At alpha = 1 every product is 1 x 1, its two corners share one key, and
 unless sums tie the buffer holds only the peak being emitted.
 
@@ -31,16 +31,15 @@ outranks both parked bounds below) is credited at once, without the heap
 round trip; the pop order is the same. The loop touches keys only. It
 reads each child layer's max, min and size from lists of Python numbers,
 and the two parked bounds from fields that change only where parking does.
-A popped best corner is recorded as (u, v); its sums are written to the
-buffer at the next flush, in pop order and each product row-major, so the
-buffer holds what writing each product as it pops would hold. A flush comes
-when the pending sums reach ``_BATCH``, before a product that large, and
-when the loop returns; a flush of more than ``_FEW`` products is one ragged
-gather over the pending layers instead of one ``np.add.outer`` per product.
+A popped best corner is recorded as (u, v); the sums of every product the
+loop popped are written to the buffer once, when it returns, in pop order
+and each product row-major, so the buffer holds what writing each product
+as it pops would hold. A write of more than ``_FEW`` products is one ragged
+gather over their layers instead of one ``np.add.outer`` per product.
 
 Grid coverage is duplicate-free by construction: with layers numbered from
-0, product (u, v) is pushed by (u, v-1), or by (u-1, 0) when v == 0, or is
-the seed (0, 0).
+0, product (u, v) is pushed by (u, v-1), or when v == 0 by the pull of X
+layer u, which only a parked (u-1, 0) makes, or is the seed (0, 0).
 
 Child layers are pulled lazily. A successor product whose child layer does
 not exist yet is parked, with an upper bound on its best corner derived from
@@ -98,15 +97,16 @@ from .loh import LayerSchedule, layer_order
 _BEST, _WORST = 0, 1
 _NEG_INF = -math.inf
 _CHUNK = 1 << 16  # entries per step of the cut's chunked passes
-_BATCH = 1 << 12  # pending sums that make the pop loop flush
-_FEW = 6  # a flush of at most this many products writes them one by one
+_FEW = 6  # a write of at most this many products writes them one by one
 _BINS = 1 << 12  # logp bins of the cut
 
 
 class _PeakBuffer:
-    """Growable (mass, logp) arrays, a selector's candidate store.
-    ``take_top`` removes a layer by rank selection; ``cut``, a root's one cut.
-    A root fills a buffer made at its exact size, which never grows.
+    """Growable (mass, logp) arrays, a selector's candidate store, filled
+    through the views ``append`` returns or one peak at a time by
+    ``add_one``. ``take_top`` removes a layer by rank selection; ``cut``, a
+    root's one cut. A root fills a buffer made at its exact size, which
+    never grows.
 
     ``take_top(n)`` returns the whole buffer without a selection; that is
     every call of an alpha = 1 selector unless sums tie.
@@ -136,11 +136,6 @@ class _PeakBuffer:
         self._reserve(need)
         self.n = need
         return self.mass[start:need], self.logp[start:need]
-
-    def extend(self, mass: np.ndarray, logp: np.ndarray):
-        m, lp = self.append(mass.size)
-        m[:] = mass
-        lp[:] = logp
 
     def add_one(self, mass: float, logp: float):
         self._reserve(self.n + 1)
@@ -363,15 +358,13 @@ class PairwiseSelector:
         self.y_done = False
         # heap entries (-key, u, v, phase), u and v 0-based layer indices
         self._heap: list[tuple[float, int, int, int]] = []
-        # parked products and the bounds on their best corners, -inf when
+        # bounds on the best corners of the parked products, -inf when
         # nothing is parked; changed only where parking changes
-        self._x_spine_wait = False
         self._x_bound = _NEG_INF
         self._y_wait: list[int] = []
         self._y_bound = _NEG_INF
         self._buffer = _PeakBuffer()
         self.guaranteed = 0
-        self.cut_key = math.inf
         self.emitted = 0
         self.layers_emitted = 0
         self.x_pulls = 0
@@ -392,16 +385,15 @@ class PairwiseSelector:
     def _pull_x(self):
         mass, logp = self.x.next_layer()
         self.x_pulls += 1
+        # a finite bound means the spine product below the last layer waits
+        parked = self._x_bound > _NEG_INF
+        self._x_bound = _NEG_INF
         if mass.size == 0:
             self.x_done = True
-            self._x_spine_wait = False
-            self._x_bound = _NEG_INF
             return
         self._x.add(mass, logp)
         self._stored += mass.size
-        if self._x_spine_wait:
-            self._x_spine_wait = False
-            self._x_bound = _NEG_INF
+        if parked:
             self._push_product(len(self._x.size) - 1, 0)
 
     def _pull_y(self):
@@ -418,6 +410,14 @@ class PairwiseSelector:
         self._y_wait.clear()
         self._y_bound = _NEG_INF
 
+    def _pull(self, bx: float, by: float):
+        """The heap's pull, which the grid root follows too: the child whose
+        bound is larger, X on ties."""
+        if bx >= by:
+            self._pull_x()
+        else:
+            self._pull_y()
+
     # -- heap and products -------------------------------------------------
 
     def _push_product(self, u: int, v: int):
@@ -426,22 +426,18 @@ class PairwiseSelector:
 
     def _fill(self, count):
         """Pop products until ``guaranteed`` reaches count or every product
-        is credited; a popped best corner waits in ``pending`` for
-        ``_write``."""
+        is credited, then ``_write`` the popped best corners."""
         heap, push, pop = self._heap, heapq.heappush, heapq.heappop
-        batch = _BATCH
         X, Y = self._x, self._y
         xmax, xmin, xsize = X.lmax, X.lmin, X.size
         ymax, ymin, ysize = Y.lmax, Y.lmin, Y.size
-        nx, ny = len(xmax), len(ymax)
+        ny = len(ymax)
         bx, by = self._x_bound, self._y_bound
         guaranteed = self.guaranteed
-        cut_key = self.cut_key
         made = 0
         stored = self._stored
         stored_at_best = -1  # child peaks stored at the last best-corner pop
         pending: list[tuple[int, int]] = []
-        pending_sums = 0
         while guaranteed < count:
             # activate parked products that could outrank the heap top
             while True:
@@ -451,35 +447,21 @@ class PairwiseSelector:
                         break
                 elif bx == by == _NEG_INF:
                     break
-                if bx >= by:
-                    self._pull_x()
-                else:
-                    self._pull_y()
+                self._pull(bx, by)
                 bx, by, stored = self._x_bound, self._y_bound, self._stored
-                nx, ny = len(xmax), len(ymax)
+                ny = len(ymax)
             if not heap:
                 break
-            neg_key, u, v, phase = pop(heap)
+            _, u, v, phase = pop(heap)
             if phase == _BEST:
-                n = xsize[u] * ysize[v]
-                if n >= batch and pending:
-                    self._write(pending, pending_sums)
-                    pending, pending_sums = [], 0
                 pending.append((u, v))
-                pending_sums += n
-                if pending_sums >= batch:
-                    self._write(pending, pending_sums)
-                    pending, pending_sums = [], 0
-                made += n
+                made += xsize[u] * ysize[v]
                 stored_at_best = stored
                 # successors: (u+1, 0) down the spine, (u, v+1) along the row;
-                # one whose child layer is not pulled yet is parked
-                if v == 0:
-                    if u + 1 < nx:
-                        push(heap, (-(xmax[u + 1] + ymax[0]), u + 1, 0, _BEST))
-                    elif not self.x_done:
-                        self._x_spine_wait = True
-                        bx = self._x_bound = xmin[u] + ymax[0]
+                # one whose child layer is not pulled yet is parked; X is
+                # pulled only while the spine waits, so (u+1, 0) always parks
+                if v == 0 and not self.x_done:
+                    bx = self._x_bound = xmin[u] + ymax[0]
                 if v + 1 < ny:
                     push(heap, (-(xmax[u] + ymax[v + 1]), u, v + 1, _BEST))
                 elif not self.y_done:
@@ -494,14 +476,10 @@ class PairwiseSelector:
                 if (heap and heap[0] < worst) or bx >= key or by >= key:
                     push(heap, worst)
                     continue
-            else:
-                key = -neg_key
             guaranteed += xsize[u] * ysize[v]
-            cut_key = key
         if pending:
-            self._write(pending, pending_sums)
+            self._write(pending, made)
         self.guaranteed = guaranteed
-        self.cut_key = cut_key
         self.materialized_total += made
         # buffer and stored peaks only grow inside one call, so the last
         # best-corner pop saw the call's most resident peaks
@@ -511,20 +489,20 @@ class PairwiseSelector:
                 self.peak_resident = resident
 
     def _write(self, pending: list[tuple[int, int]], total: int):
-        """Append the sums of the pending products (u, v) to the buffer, in
+        """Append the sums of one pop loop's products (u, v) to the buffer, in
         pop order, each product row-major: product by product when there are
         at most ``_FEW``, else by one ragged gather of ``total`` sums."""
         X, Y, buf = self._x, self._y, self._buffer
         if len(pending) <= _FEW:
             for u, v in pending:
                 xm, ym = X.mass[u], Y.mass[v]
-                if xm.size == 1 == ym.size:
+                a, b = xm.size, ym.size
+                if a == 1 == b:
                     buf.add_one(float(xm[0]) + float(ym[0]), X.lmax[u] + Y.lmax[v])
                 else:
-                    buf.extend(
-                        np.add.outer(xm, ym).ravel(),
-                        np.add.outer(X.logp[u], Y.logp[v]).ravel(),
-                    )
+                    mass, logp = buf.append(a * b)
+                    np.add.outer(xm, ym, out=mass.reshape(a, b))
+                    np.add.outer(X.logp[u], Y.logp[v], out=logp.reshape(a, b))
             return
         us, vs = zip(*pending)
         a = np.array([X.size[u] for u in us])
@@ -652,11 +630,7 @@ class PairwiseSelector:
                     return float(keys[order[at]]), float(credited[at]), False
                 if bound == _NEG_INF:
                     return float(keys[order[-1]]), float(credited[-1]), True
-            # the heap's pull: the child whose bound is larger, X on ties
-            if bx >= by:
-                self._pull_x()
-            else:
-                self._pull_y()
+            self._pull(bx, by)
 
     def _grid_fill(self, key) -> _PeakBuffer:
         """A buffer of exactly the sums of every product whose best corner

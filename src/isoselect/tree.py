@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -112,6 +113,10 @@ def select_top_k(root: TreeNode, k: int) -> Selection:
 
     If fewer than k isotopologues exist, returns them all and warns.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     mass, logp = root.stream.top_k(k)

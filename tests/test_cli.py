@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isoselect import cli
 from isoselect.cli import run
 from isoselect.tree import isotopologues
 
@@ -193,6 +194,18 @@ class TestExitCodes:
     def test_invalid_parameters_are_4(self, args, capsys):
         assert run(args) == 4
         assert "error" in capsys.readouterr().err
+
+    def test_refused_allocation_is_4(self, monkeypatch, capsys):
+        # stands in for a request such as Sn30Xe20Te10 at p = 0.5, whose
+        # root buffer would need terabytes
+        def refuse(root, p):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "select_until_cumulative", refuse)
+        assert run(["--formula", "Sn30Xe20Te10", "--p", "0.5"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "memory" in err and "Traceback" not in err
 
     def test_unwritable_output_is_5(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.tsv"

@@ -102,6 +102,10 @@ def test_parse_table_reports_line_numbers():
     with pytest.raises(IsotopeTableError) as err:
         parse_table("H 1.0 0.6\nH 2.0 0.4\nO oops 1.0\n")
     assert "line 3" in str(err.value)
+    # range errors come from Isotope itself, with the line prefixed
+    with pytest.raises(IsotopeTableError) as err:
+        parse_table("H 1.0 0.6\n# comment\nH 2.0 1.4\n")
+    assert str(err.value).startswith("line 3: ") and "abundance" in str(err.value)
 
 
 def test_abundance_sum_tolerance():

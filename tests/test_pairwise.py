@@ -182,10 +182,10 @@ class TestSelectorRandomized:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
     def test_guarantees_hold_wherever_the_loop_stops(self, alpha):
-        # the premise of layer emission: when the pop loop stops, every sum
-        # not yet materialized is at most the cut key, and the buffered sums
-        # at or above it number at least `guaranteed`; masses are pair ids,
-        # to tell which sums exist
+        # the premise of layer emission: when the pop loop stops, the
+        # buffer's `guaranteed`-th largest sum bounds every sum not yet
+        # materialized from above; masses are pair ids, to tell which sums
+        # exist
         rng = np.random.default_rng(int(alpha * 10))
         for i in range(12):
             x, y, sums, fresh = paired(rng, ties=i % 3 == 0, alpha=alpha)
@@ -194,10 +194,9 @@ class TestSelectorRandomized:
                 sel._fill(count)
                 buf = sel._buffer
                 made = made_products(buf.mass[: buf.n], sums.shape)
-                assert sel.guaranteed >= count
-                assert np.all(sums[~made] <= sel.cut_key)
-                top = buf.logp[: buf.n] >= sel.cut_key
-                assert np.count_nonzero(top) >= sel.guaranteed
+                assert buf.n >= sel.guaranteed >= count
+                bound = np.sort(buf.logp[: buf.n])[::-1][sel.guaranteed - 1]
+                assert np.all(sums[~made] <= bound)
 
     @pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
     def test_grid_root_guarantees_hold_at_every_target(self, alpha):
@@ -318,7 +317,9 @@ class TestPeakBuffer:
         for i in range(head):
             buf.add_one(mass[i], logp[i])
         for lo in range(head, n, 300):
-            buf.extend(mass[lo : lo + 300], logp[lo : lo + 300])
+            m, lp = buf.append(min(300, n - lo))
+            m[:] = mass[lo : lo + 300]
+            lp[:] = logp[lo : lo + 300]
         assert buf.mass.size > 1024 or n <= 1024
         top_mass, top_logp = buf.take_top(s)
         assert buf.n == n - s
@@ -332,19 +333,21 @@ class TestPeakBuffer:
         assert np.array_equal(logp[rest_mass.astype(int)], rest_logp)
         # the returned arrays are the caller's, untouched by later use
         kept = top_logp.copy()
-        buf.extend(np.full(5, -1.0), np.full(5, 5.0))
+        m, lp = buf.append(5)
+        m[:], lp[:] = -1.0, 5.0
         assert np.array_equal(top_logp, kept)
 
 
     def test_capacity_doubles_past_uneven_extends(self):
-        # capacities stay 1024 * 2**j, even when one extend outgrows twice
+        # capacities stay 1024 * 2**j, even when one append outgrows twice
         # the capacity, and every entry survives each growth copy
         buf = _PeakBuffer()
         sizes = [1, 700, 2000, 9000, 5, 40000]
         total = 0
         for size in sizes:
             ids = np.arange(total, total + size, dtype=float)
-            buf.extend(ids, -ids)
+            m, lp = buf.append(size)
+            m[:], lp[:] = ids, -ids
             total += size
             cap = buf.mass.size
             assert buf.logp.size == cap >= total
@@ -380,10 +383,12 @@ def selections(x, y, alpha, masses=None):
     return layered, top, cover
 
 
-class TestBatchedWrites:
-    """Pending products are written in batches; a flush bound of 1 writes
-    each product as it pops. The buffer must hold the same values in the
-    same order either way, so every output is equal as arrays."""
+class TestWritePaths:
+    """A pop loop's products are written one by one when there are at most
+    ``_FEW`` of them, else by one ragged gather. The buffer must hold the
+    same values in the same order either way, so every output is equal as
+    arrays when ``_FEW`` is 0 (every write a ragged gather) and when it is
+    larger than any write (every write product by product)."""
 
     @staticmethod
     def assert_same(a, b):
@@ -396,8 +401,18 @@ class TestBatchedWrites:
             assert np.array_equal(ma, mb) and np.array_equal(la, lb)
             assert ra == rb
 
+    @staticmethod
+    def both_paths(monkeypatch, *args):
+        with monkeypatch.context() as m:
+            m.setattr(pairwise, "_FEW", 0)
+            gathered = selections(*args)
+        with monkeypatch.context() as m:
+            m.setattr(pairwise, "_FEW", 1 << 30)
+            one_by_one = selections(*args)
+        return gathered, one_by_one
+
     @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
-    def test_flush_bound_changes_nothing(self, alpha, monkeypatch):
+    def test_write_path_changes_nothing(self, alpha, monkeypatch):
         rng = np.random.default_rng(int(alpha * 100))
         for i in range(8):
             nx, ny = (int(n) for n in rng.integers(2, 90, size=2))
@@ -406,29 +421,15 @@ class TestBatchedWrites:
             if i % 2 == 0:  # exact ties
                 x, y = np.round(x), np.round(y)
             masses = (rng.uniform(10, 500, size=nx), rng.uniform(10, 500, size=ny))
-            batched = selections(x, y, alpha, masses)
-            with monkeypatch.context() as m:
-                m.setattr(pairwise, "_BATCH", 1)
-                one_by_one = selections(x, y, alpha, masses)
-            self.assert_same(batched, one_by_one)
+            self.assert_same(*self.both_paths(monkeypatch, x, y, alpha, masses))
 
-    def test_product_larger_than_the_bound(self, monkeypatch):
-        # at alpha 2 the layers reach 128 and 256 peaks, so late products
-        # are at least _BATCH sums and go straight through np.add.outer
+    def test_large_products(self, monkeypatch):
+        # at alpha 2 the layers reach 128 and 256 peaks, so late writes hold
+        # products of tens of thousands of sums
         rng = np.random.default_rng(5)
         x = -rng.exponential(1.0, size=500)
         y = -rng.exponential(1.0, size=300)
-        assert 128 * 128 >= pairwise._BATCH
-        batched = selections(x, y, 2.0)
-        with monkeypatch.context() as m:
-            m.setattr(pairwise, "_BATCH", 1)
-            one_by_one = selections(x, y, 2.0)
-        self.assert_same(batched, one_by_one)
-        # and a small bound splits the run into many ragged gathers
-        with monkeypatch.context() as m:
-            m.setattr(pairwise, "_BATCH", 64)
-            small = selections(x, y, 2.0)
-        self.assert_same(batched, small)
+        self.assert_same(*self.both_paths(monkeypatch, x, y, 2.0))
 
 
 class TestLaziness:
@@ -463,6 +464,10 @@ class TestLaziness:
         for axis, bx, by in pulls:
             # the larger of the two activation bounds decides the pull
             assert axis == ("x" if bx >= by else "y")
+            # X is pulled only while the spine product below its last layer
+            # is parked, so the pop loop never finds (u+1, 0) unpushed
+            assert axis == "y" or bx > -np.inf
+        assert any(axis == "x" for axis, _, _ in pulls)
 
     def test_resident_peaks_tracked(self):
         x = -np.linspace(0, 3, 50)

@@ -112,6 +112,12 @@ class TestSelectTopK:
         root = build_tree(parse_formula("H2O"), load_default())
         with pytest.raises(ValueError):
             select_top_k(root, 0)
+        # a non-integer k is refused at a merge root and at a leaf root
+        for formula in ("C10H20", "C100"):
+            root = build_tree(parse_formula(formula), load_default())
+            with pytest.raises(TypeError, match="k must be an integer"):
+                select_top_k(root, 3.5)
+        assert select_top_k(root, np.int64(3)).mass.size == 3
 
     def test_full_universe_normalizes(self):
         table = load_default()
