@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import time
-from pathlib import Path
+import warnings
 
 import numpy as np
 
@@ -29,6 +29,7 @@ EXIT_PARAMS = 4
 EXIT_OUTPUT = 5
 
 _LOG10E = math.log10(math.e)
+_BLOCK = 1 << 14  # output rows formatted and written at a time
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +115,10 @@ def run(argv=None) -> int:
         else:
             root = build_tree(comp, table, args.alpha)
         if args.k is not None:
-            selection = select_top_k(root, args.k)
+            with warnings.catch_warnings():
+                # a truncated k is reported below, as one line
+                warnings.filterwarnings("ignore", r"only \d+ isotopologue peaks exist")
+                selection = select_top_k(root, args.k)
         else:
             selection = select_until_cumulative(root, args.p)
     except UnknownElementError as exc:
@@ -133,6 +137,12 @@ def run(argv=None) -> int:
         return EXIT_PARAMS
     elapsed = time.perf_counter() - start
 
+    if args.k is not None and selection.truncated:
+        print(
+            f"warning: only {len(selection)} isotopologue peaks exist, "
+            f"fewer than the requested {args.k}",
+            file=sys.stderr,
+        )
     if args.sorted:
         selection = selection.sorted()
     if args.time:
@@ -141,21 +151,30 @@ def run(argv=None) -> int:
 
 
 def _write(selection: Selection, args) -> int:
-    sep = "\t" if args.format == "tsv" else ","
-    prob = np.exp(selection.logp)
-    logcol = selection.logp * _LOG10E if args.log10 else selection.logp
-    row = sep.join(["{:.17g}"] * 3).format
-    rows = map(row, selection.mass.tolist(), logcol.tolist(), prob.tolist())
-    text = "\n".join([sep.join(("mass", "log_prob", "prob")), *rows]) + "\n"
     if not args.output:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_blocks(selection, args))
         return 0
     try:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(_blocks(selection, args))
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
         return EXIT_OUTPUT
     return 0
+
+
+def _blocks(selection: Selection, args):
+    """The output table as text: the header, then ``_BLOCK`` rows at a time,
+    each block formatted by one ``str.format`` call."""
+    sep = "\t" if args.format == "tsv" else ","
+    yield sep.join(("mass", "log_prob", "prob")) + "\n"
+    prob = np.exp(selection.logp)
+    logcol = selection.logp * _LOG10E if args.log10 else selection.logp
+    line = sep.join(["{:.17g}"] * 3) + "\n"
+    for start in range(0, prob.size, _BLOCK):
+        end = start + _BLOCK
+        block = np.column_stack((selection.mass[start:end], logcol[start:end], prob[start:end]))
+        yield (line * len(block)).format(*block.ravel().tolist())
 
 
 def main(argv=None):

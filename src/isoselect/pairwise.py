@@ -68,17 +68,24 @@ root does the heap's work without the heap, in numpy over the grid:
    masses (:meth:`_Layers.mirror`).
 2. **Cut key.** In descending key order, the credited products first reach
    the target at one worst corner: the key at which the heap would stop.
-3. **Fill.** The buffer gets every product whose best corner is at least
-   the cut key, which is what the heap would have materialized. A row of
-   the axis with fewer layers pairs with a prefix of the other axis's
-   layers, so each row is one ``np.add.outer`` into a buffer allocated once,
-   at exactly the total.
-4. **Cut.** :meth:`_PeakBuffer.cut` moves to the front the fewest best
-   entries at or above the cut key that reach k or p. Should the buffer's
-   own sum fall short of p, as a guarantee summed in another order can
-   round up past it, the root pulls on to a higher target. At alpha = 1
-   the kept entries are then sorted, since one-peak layers promise fully
-   sorted output.
+3. **Fill.** The buffer, allocated once at exactly the total, gets every
+   product whose best corner is at least the cut key, which is what the
+   heap would have materialized. Probes counted as in step 1, on the layer
+   maxima, bisect for ``hi``, the least key above which the best corners
+   weigh less than k or p; so the cut keeps a sum at or below ``hi``, and
+   keeps whole every product whose worst corner exceeds it (rounding is
+   monotonic, so each of its sums does too). Those sure products go first.
+   A row of the axis with fewer layers pairs with a prefix of the other
+   axis's layers, and its sure products with a prefix of those, so a row
+   is at most two ``np.add`` calls: one into the front, one behind it.
+4. **Cut.** :meth:`_PeakBuffer.cut` ranks only the entries behind the
+   front, those of products that straddle ``hi``, keeping the fewest best
+   at or above the cut key that, with the front, reach k or p. Should the
+   buffer's own sum fall short of p, as a guarantee summed in another
+   order can round up past it, the root pulls on to a higher target. At
+   alpha = 1, where products are peaks and only ties at the cut key
+   straddle it, the kept entries are then sorted, since one-peak layers
+   promise fully sorted output.
 
 The root's pulls and materialized sums are the heap's, product for product,
 unless keys tie; with ties it may materialize products whose best corner
@@ -102,11 +109,11 @@ _BINS = 1 << 12  # logp bins of the cut
 
 
 class _PeakBuffer:
-    """Growable (mass, logp) arrays, a selector's candidate store, filled
-    through the views ``append`` returns or one peak at a time by
-    ``add_one``. ``take_top`` removes a layer by rank selection; ``cut``, a
-    root's one cut. A root fills a buffer made at its exact size, which
-    never grows.
+    """Growable (mass, logp) arrays, the two rows of one ``block``: a
+    selector's candidate store, filled through the views ``append`` returns
+    or one peak at a time by ``add_one``. ``take_top`` removes a layer by
+    rank selection; ``cut``, a root's one cut. A root fills a buffer made at
+    its exact size, which never grows.
 
     ``take_top(n)`` returns the whole buffer without a selection; that is
     every call of an alpha = 1 selector unless sums tie.
@@ -116,7 +123,8 @@ class _PeakBuffer:
         # one allocation for both: a large root buffer reaches the
         # allocator's mmap threshold at half the entries, so freeing it
         # returns the memory to the system
-        self.mass, self.logp = np.empty((2, capacity))
+        self.block = np.empty((2, capacity))
+        self.mass, self.logp = self.block
         self.n = 0
 
     def _reserve(self, need: int):
@@ -124,11 +132,10 @@ class _PeakBuffer:
             cap = self.mass.size
             while cap < need:
                 cap *= 2
-            n = self.n
-            mass, logp = np.empty(cap), np.empty(cap)
-            mass[:n] = self.mass[:n]
-            logp[:n] = self.logp[:n]
-            self.mass, self.logp = mass, logp
+            block = np.empty((2, cap))
+            block[:, : self.n] = self.block[:, : self.n]
+            self.block = block
+            self.mass, self.logp = block
 
     def append(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of ``size`` new entries at the end, for the caller to fill."""
@@ -159,16 +166,18 @@ class _PeakBuffer:
         return out
 
     def cut(
-        self, want: float, lo: float, hi: float, by_mass: bool
+        self, want: float, lo: float, hi: float, by_mass: bool, start: int
     ) -> tuple[int | None, float]:
-        """Move to the front the fewest highest-logp entries with logp >= lo
-        that weigh at least ``want``, weighing each by its probability if
-        ``by_mass``, else as 1; ``hi`` bounds every logp above.
+        """Move to the front of ``[start, n)`` the fewest of its highest-logp
+        entries with logp >= lo that weigh at least ``want``, weighing each
+        by its probability if ``by_mass``, else as 1; ``hi`` bounds every
+        logp above. Entries before ``start`` are not read or moved.
 
-        Returns (count, total), total being the weight of the entries at or
-        above lo, or (None, total) with the buffer untouched when total <
-        want. Works in chunks, never on full-size temporaries: the entries at
-        or above lo are binned by logp, the bins above the one where the
+        Returns (count, total), count being ``start`` plus the entries kept
+        and total the weight of the entries of ``[start, n)`` at or above
+        lo, or (None, total) with the buffer untouched when total < want.
+        Works in chunks, never on full-size temporaries: the entries at or
+        above lo are binned by logp, the bins above the one where the
         cumulative weight reaches ``want`` move to the front, and only that
         boundary bin is sorted.
         """
@@ -182,7 +191,7 @@ class _PeakBuffer:
             b[logp < lo] = _BINS
             return b
 
-        chunks = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
+        chunks = [(s, min(s + _CHUNK, n)) for s in range(start, n, _CHUNK)]
         per_bin = np.zeros(_BINS + 1)
         for s, e in chunks:
             logp = self.logp[s:e]
@@ -195,7 +204,7 @@ class _PeakBuffer:
         edge = int(np.searchsorted(cum, want))
         above = float(cum[edge - 1]) if edge else 0.0
 
-        front = 0
+        front = start
         edge_mass, edge_logp = [], []
         for s, e in chunks:
             mass, logp = self.mass[s:e], self.logp[s:e]
@@ -550,18 +559,20 @@ class PairwiseSelector:
 
     def _select(self, want, by_mass):
         """Find the cut key on the layer grid, materialize every product that
-        can reach it into one buffer, and cut that to the fewest peaks
-        weighing ``want``; pull on if they weigh less."""
+        can reach it into one buffer, sure products first, and cut the rest
+        to the fewest peaks that, with the sure ones, weigh ``want``; pull
+        on if they weigh less."""
         if self.layers_emitted:
             raise ValueError("a merge node selects once, before emitting layers")
         target = want
         while True:
             key, credited, exhausted = self._grid_key(target, by_mass)
             buf = None  # the old buffer goes before the new one is filled
-            buf = self._grid_fill(key)
+            buf, front, sure = self._grid_fill(key, want, by_mass)
             # the seed product's key bounds every sum from above
             top = self._x.lmax[0] + self._y.lmax[0] if buf.n else 0.0
-            kept, total = buf.cut(want, key, top, by_mass)
+            kept, total = buf.cut(want - sure, key, top, by_mass, front)
+            total += sure
             if kept is not None or exhausted:
                 break
             # the summed guarantee rounded up past what the buffer holds
@@ -632,34 +643,94 @@ class PairwiseSelector:
                     return float(keys[order[-1]]), float(credited[-1]), True
             self._pull(bx, by)
 
-    def _grid_fill(self, key) -> _PeakBuffer:
+    def _grid_fill(self, key, want, by_mass) -> tuple[_PeakBuffer, int, float]:
         """A buffer of exactly the sums of every product whose best corner
-        is at least ``key``. Each row of the axis with fewer layers pairs
-        with a prefix of the other axis's layers, so a row is one
-        ``np.add.outer`` into the buffer."""
+        is at least ``key``, with the sums of the products sure to be kept
+        first: those whose worst corner exceeds :func:`_kept_bound`'s bound
+        on the kept threshold. Returns the buffer, the count of its sure
+        sums and their weight. A row of the axis with fewer layers is at
+        most two ``np.add`` calls, each writing mass and logp: its sure
+        products into the front, the rest behind every sure part."""
         X, Y = self._x, self._y
         nx, ny = len(X.size), len(Y.size)
         S, L = (X, Y) if nx <= ny else (Y, X)
         if not (nx and ny):
-            return _PeakBuffer(0)
+            return _PeakBuffer(0), 0, 0.0
         smax, lmax = np.array(S.lmax), np.array(L.lmax)
+        ns, nl = smax.size, lmax.size
         margin = 1e-12 * (1.0 + abs(key) + abs(smax[0]) + abs(smax[-1]))
         prefix = np.searchsorted(-lmax, (smax - key) + margin, side="right")
         rows, _, keys = _pairs(smax, lmax, prefix)
-        prefix = np.bincount(rows[keys >= key], minlength=smax.size)
+        prefix = np.bincount(rows[keys >= key], minlength=ns)
+        hi = _kept_bound(S, L, smax, lmax, key, want, by_mass)
+        # row u's sure layers: those whose min exceeds hi - min(u), here with
+        # a margin so that rounding can only undercount
+        margin = 1e-12 * (1.0 + abs(hi) + abs(S.nmin[0]) + abs(S.nmin[ns - 1]))
+        sure = np.searchsorted(L.nmin[:nl], -(hi + margin) - S.nmin[:ns])
+        np.minimum(sure, prefix, out=sure)
+        sizes = S.sizes[:ns].astype(np.intp)
         width = L.csize[prefix].astype(np.intp)  # peaks of L per row
-        total = int(np.dot(S.sizes[: smax.size].astype(np.intp), width))
+        split = L.csize[sure].astype(np.intp)  # of them in sure products
+        total, front = int(sizes @ width), int(sizes @ split)
+        weight = float(S.probs[:ns] @ L.cprob[sure]) if by_mass else front
         buf = _PeakBuffer(total)
         buf.n = total
-        joined = range(int(prefix[0]))
-        lm, ll = _joined(L.mass, joined), _joined(L.logp, joined)
-        at = 0
-        for u in range(int(np.count_nonzero(prefix))):
-            a, b = S.size[u], int(width[u])
-            end = at + a * b
-            np.add.outer(S.mass[u], lm[:b], out=buf.mass[at:end].reshape(a, b))
-            np.add.outer(S.logp[u], ll[:b], out=buf.logp[at:end].reshape(a, b))
-            at = end
+        # mass over logp, each axis's filled layers end to end, so that one
+        # np.add writes both
+        filled, cols = int(np.count_nonzero(prefix)), int(prefix[0])
+        sx = _joined(S.mass[:filled] + S.logp[:filled], range(2 * filled)).reshape(2, -1)
+        lx = _joined(L.mass[:cols] + L.logp[:cols], range(2 * cols)).reshape(2, -1)
+        block = buf.block
+
+        def put(at, xs, c0, c1):
+            # row xs times L's peaks c0 to c1, from at on; returns the end
+            if c1 == c0:
+                return at
+            a = xs.shape[1]
+            end = at + a * (c1 - c0)
+            np.add(xs, lx[:, None, c0:c1], out=block[:, at:end].reshape(2, a, c1 - c0))
+            return end
+
+        at, back, s1 = 0, front, 0
+        for u, b, c in zip(range(filled), split.tolist(), width.tolist()):
+            s0, s1 = s1, s1 + S.size[u]
+            xs = sx[:, s0:s1, None]
+            at = put(at, xs, 0, b)
+            back = put(back, xs, b, c)
         self.materialized_total = total
         self.peak_resident = max(self.peak_resident, total + self._stored)
-        return buf
+        return buf, front, weight
+
+
+def _kept_bound(S: _Layers, L: _Layers, smax, lmax, key, want, by_mass) -> float:
+    """An upper bound on a root cut's kept threshold: the least key, to
+    within 2^-12 of the key range, such that the products whose best corner
+    exceeds it weigh less than ``want``, so that the cut must keep a sum at
+    or below it. Each probe counts as :meth:`PairwiseSelector._grid_key`
+    does, with margins that can only overcount. At alpha = 1 only products
+    tied at the cut key straddle it, and the first probe, just above the
+    key, ends the search."""
+    ns = smax.size
+    weight, running = (S.probs[:ns], L.cprob) if by_mass else (S.sizes[:ns], L.csize)
+    slack = 1.0 + 1e-9 if by_mass else 1.0
+    top = smax[0] + lmax[0]
+    margin = 1e-12 * (1.0 + abs(key) + abs(top) + abs(smax[0]) + abs(smax[-1]))
+    # row u counts the layers whose max exceeds h - max(u), less the margin
+    nlmax, base = -lmax, smax + margin
+
+    def light(h):
+        return weight @ running[nlmax.searchsorted(base - h)] * slack < want
+
+    # every best corner exceeding lo exceeds key, and none exceeds hi
+    lo, hi = key + 2 * margin, top + 2 * margin
+    if light(lo):
+        return lo
+    # more halvings move little: 12, 14 and 20 leave 17.65%, 17.64% and
+    # 17.64% of a protein-coverage round's buffered sums behind the front
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        if light(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

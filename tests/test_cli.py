@@ -93,14 +93,37 @@ def test_rows_match_per_scalar_formatting(tmp_path, extra):
     target = tmp_path / "peaks.out"
     args = ["--formula", "C30H50N9O10S2", "--k", "3000", "--sorted"]
     assert run([*args, *extra, "--output", str(target)]) == 0
-    sel = isotopologues("C30H50N9O10S2", k=3000).sorted()
+    assert target.read_bytes() == scalar_rows("C30H50N9O10S2", 3000, extra)
+
+
+def scalar_rows(formula, k, extra):
+    """The output of ``--k k --sorted`` plus ``extra``, as one string joined
+    from rows formatted number by number."""
+    sel = isotopologues(formula, k=k).sorted()
     sep = "," if "csv" in extra else "\t"
     logcol = sel.logp * math.log10(math.e) if "--log10" in extra else sel.logp
     lines = [sep.join(("mass", "log_prob", "prob"))]
     for m, lp, pr in zip(sel.mass, logcol, np.exp(sel.logp)):
         lines.append(f"{m:.17g}{sep}{lp:.17g}{sep}{pr:.17g}")
-    want = ("\n".join(lines) + "\n").encode("utf-8")
-    assert target.read_bytes() == want
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--format", "csv"], ["--log10"], ["--format", "csv", "--log10"]]
+)
+def test_blocks_join_to_the_same_bytes(tmp_path, capsysbinary, monkeypatch, extra):
+    # rows are written in blocks; with blocks of 2 rows, counts of one,
+    # exactly one, more than one and a partial block give the same bytes,
+    # to a file and to stdout
+    monkeypatch.setattr(cli, "_BLOCK", 2)
+    target = tmp_path / "peaks.out"
+    for k in (1, 2, 3, 5):
+        args = ["--formula", "C30H50N9O10S2", "--k", str(k), "--sorted", *extra]
+        want = scalar_rows("C30H50N9O10S2", k, extra)
+        assert run([*args, "--output", str(target)]) == 0
+        assert target.read_bytes() == want
+        assert run(args) == 0
+        assert capsysbinary.readouterr().out == want
 
 
 def test_log10_flag(capsys):
@@ -108,6 +131,18 @@ def test_log10_flag(capsys):
     _, rows = parse_output(capsys.readouterr().out)
     for _, log10p, prob in rows:
         assert 10**log10p == pytest.approx(prob, rel=1e-12)
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_truncated_k_warns_in_one_line(capsys, recwarn, extra):
+    # HF has two isotopologues; without --oracle its root is a merge node
+    assert run(["--formula", "HF", "--k", "5", *extra]) == 0
+    out, err = capsys.readouterr()
+    assert err == (
+        "warning: only 2 isotopologue peaks exist, fewer than the requested 5\n"
+    )
+    assert len(parse_output(out)[1]) == 2
+    assert not [w for w in recwarn if "isotopologue" in str(w.message)]
 
 
 def test_time_flag(capsys):

@@ -214,7 +214,7 @@ class TestSelectorRandomized:
                 sel = fresh()
                 for target in targets:
                     key, credited, exhausted = sel._grid_key(target, by_mass)
-                    buf = sel._grid_fill(key)
+                    buf = sel._grid_fill(key, target, by_mass)[0]
                     assert buf.n == buf.mass.size == sel.materialized_total
                     made = made_products(buf.mass, sums.shape)
                     assert np.all(sums[~made] <= key)
@@ -570,6 +570,59 @@ class TestGridRoot:
                 assert short == (p > total)
                 assert np.array_equal(np.sort(logp)[::-1], ranked[:want])
                 made_products(mass, sums.shape)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 2.0])
+    def test_cut_ranks_only_behind_the_sure_front(self, alpha, monkeypatch):
+        # the fill writes first the products sure to be kept, and the one
+        # cut starts behind them: every sure sum lies above the kept
+        # threshold, together they weigh less than the target, and the cut
+        # leaves them where they are
+        rng = np.random.default_rng(int(alpha * 1000) + 3)
+        cut, cuts = _PeakBuffer.cut, []
+
+        def spy(buf, want, lo, hi, by_mass, start):
+            head = buf.block[:, :start].copy()
+            out = cut(buf, want, lo, hi, by_mass, start)
+            assert np.array_equal(buf.block[:, :start], head)
+            cuts.append((start, head[1]))
+            return out
+
+        monkeypatch.setattr(_PeakBuffer, "cut", spy)
+        split = 0  # fills with both sure and straddling sums
+        for i in range(8):
+            nx, ny = (int(n) for n in rng.integers(1, 80, size=2))
+            x, y, sums, fresh = paired(rng, ties=i % 2 == 0, alpha=alpha, nx=nx, ny=ny)
+            ranked = np.sort(sums.ravel())[::-1]
+            csum = np.cumsum(np.exp(ranked))
+            for by_mass, wants in (
+                (False, [1, sums.size // 3 + 1, sums.size, sums.size + 3]),
+                (True, [csum[-1] * f for f in (0.2, 0.6, 0.95)] + [2.0]),
+            ):
+                for want in wants:
+                    sel, fills = fresh(), []
+
+                    def recording(*args, grid_fill=sel._grid_fill):
+                        fills.append(grid_fill(*args))
+                        return fills[-1]
+
+                    sel._grid_fill = recording
+                    cuts.clear()
+                    if by_mass:
+                        mass, logp, _ = sel.until_cumulative(want)
+                        count = min(int(np.searchsorted(csum, want)) + 1, ranked.size)
+                    else:
+                        mass, logp = sel.top_k(want)
+                        count = min(want, ranked.size)
+                    assert np.array_equal(np.sort(logp)[::-1], ranked[:count])
+                    assert len(fills) == len(cuts) >= 1
+                    for (buf, front, sure), (start, head) in zip(fills, cuts):
+                        split += 0 < front < buf.n
+                        assert start == front == head.size
+                        assert np.all(head > ranked[count - 1])
+                        assert sure < want
+                        weight = np.exp(head).sum() if by_mass else head.size
+                        assert weight == pytest.approx(sure, rel=1e-12)
+        assert split >= 32
 
     def test_selects_once_before_any_layer(self):
         x, y, sums, fresh = paired(np.random.default_rng(3), ties=False, alpha=1.3)
